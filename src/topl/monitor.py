@@ -5,8 +5,8 @@ seen so far, organised by how many letters each has consumed.  Because
 choosing between a transition and a skip can depend on up to d upcoming
 letters (d = longest transition label), commitment is delayed until a
 full window of d letters is visible; acceptance at each event index is
-decided eagerly on a copy, so verdicts carry the exact event index at
-which the property was violated.
+decided eagerly on a scratch view, so verdicts carry the exact event
+index at which the property was violated.
 
 A reported violation is always a real one.  Bounding the number of
 active configurations can only lose violations, never invent them.
@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from .core import BOTTOM, Atom, EventId, Letter, StructureError, Value
-from .hl import HlAutomaton, match_prefix
+from .core import (
+    BOTTOM, Atom, Eq, EventId, Letter, MethodMatch, StructureError, Value, conjuncts, eval_guard,
+)
+from .hl import HlAutomaton, match_prefix, require_valid_hl
 from .properties import EventSchema
 
 
@@ -103,131 +105,314 @@ class Report:
     warnings: tuple = ()
 
 
+class _StateTable:
+    """What one state's outgoing transitions need from an event.
+
+    `read` picks the letter values that the first-step `MethodMatch`
+    atoms of the outgoing transitions look at (for a compiled property,
+    the event id); the entry for a letter depends on nothing else, so
+    `entries` caches it by those values.  An entry is (identity,
+    candidates): the index of the first identity transition that can
+    fire (one letter, a self-loop, a NOP action and only `MethodMatch`
+    atoms in its guard), or None; and the other transitions whose first
+    step can hold, as tuples (labels, length, index, target, lookup
+    position).
+
+    `index` is the register slot (0-based) every candidate compares in
+    its first step with an `Eq` atom, or None; the lookup position is
+    the letter position that atom compares it with.  Configurations at
+    an indexed state are grouped by the value of that register, and an
+    event only steps the groups keyed by the values it carries.
+    """
+
+    __slots__ = ("read", "index", "outgoing", "entries")
+
+    def __init__(self, automaton: HlAutomaton, state: str):
+        outgoing = []
+        shared = None  # registers every non-identity transition compares with Eq
+        for idx, t in enumerate(automaton.transitions):
+            if t.source != state:
+                continue
+            atoms = conjuncts(t.labels[0][0])
+            methods = tuple(a for a in atoms if isinstance(a, MethodMatch))
+            identity = (len(t.labels) == 1 and t.target == state and not t.labels[0][1]
+                        and len(methods) == len(atoms))
+            eqs = [(a.reg - 1, a.pos - 1) for a in atoms if isinstance(a, Eq)]
+            if not identity:
+                regs = {r for r, _ in eqs}
+                shared = regs if shared is None else shared & regs
+            outgoing.append((idx, t, methods, identity, eqs))
+        self.index = min(shared) if shared else None
+        positions = sorted({m.pos - 1 for _, _, methods, _, _ in outgoing for m in methods})
+        self.read = itemgetter(*positions) if positions else _nothing
+        self.outgoing = tuple(
+            (idx, t, methods, identity,
+             None if self.index is None else next((j for r, j in eqs if r == self.index), None))
+            for idx, t, methods, identity, eqs in outgoing
+        )
+        self.entries: dict = {}
+
+    def entry(self, letter: Letter) -> tuple:
+        key = self.read(letter)
+        found = self.entries.get(key)
+        if found is None:
+            identity = None
+            candidates = []
+            for idx, t, methods, is_identity, j in self.outgoing:
+                if not all(eval_guard(m, (), letter) for m in methods):
+                    continue
+                if not is_identity:
+                    candidates.append((t.labels, len(t.labels), idx, t.target, j))
+                elif identity is None:
+                    identity = idx
+            found = self.entries[key] = (identity, tuple(candidates))
+        return found
+
+
+def _nothing(letter) -> None:
+    return None
+
+
+def _flatten(cell) -> tuple:
+    """A path stored as (parent, step) cells, as a tuple of steps."""
+    steps = []
+    while cell:
+        cell, step = cell
+        steps.append(step)
+    steps.reverse()
+    return tuple(steps)
+
+
 class Monitor:
-    """Single-owner online monitor; feed one event at a time."""
+    """Single-owner online monitor; feed one event at a time.
+
+    Configurations are stored as {position: {state: {index value:
+    {store: path}}}}, where the index value is the store's value in the
+    state's index register (None at states without one).  An event
+    steps one by one only the configurations it can move through a
+    transition other than an identity one; every other group advances
+    one position unchanged as a whole dict.  Paths are (parent, step)
+    cells, flattened when a verdict is emitted.
+    """
 
     def __init__(self, automaton: HlAutomaton, schema: Optional[EventSchema] = None,
                  options: MonitorOptions = MonitorOptions()):
+        require_valid_hl(automaton)
         self.automaton = automaton
         self.schema = schema
         self.options = options
         self.d = automaton.max_label_length
+        self._paths = options.record_paths
+        self._tables = {q: _StateTable(automaton, q) for q in automaton.states}
         # letters still needed for decisions: the stream from position
         # `_base` on; older letters are discarded as the front commits
         self._letters: list = []
         self._base = 0
-        # position (letters consumed) -> ordered {(state, store): path or None}
-        start_key = (automaton.initial, automaton.store)
-        self._layers: dict = {0: {start_key: () if options.record_paths else None}}
+        self._layers: dict = {}
+        self._active = 0  # configurations held over all layers
+        self._place(0, automaton.initial, automaton.store, () if self._paths else None, False)
         self.peak_active = 1
         self.dropped = 0
-        self._reported: set = set()
+        self._reported = -1  # last verdict index emitted
         self._finished = False
         self._verdicts: list = []
-        self._outgoing_cache: dict = {}
         # The empty prefix may already violate the property.
         self._initial_verdicts = self._emit(self._check_now())
 
     # -- internals ---------------------------------------------------------
 
-    def _outgoing(self, state):
-        cached = self._outgoing_cache.get(state)
-        if cached is None:
-            cached = tuple((t, len(t.labels), i) for i, t in enumerate(self.automaton.transitions)
-                           if t.source == state)
-            self._outgoing_cache[state] = cached
-        return cached
+    def _plan(self, p: int, q: str, horizon: int) -> tuple:
+        """How the configurations at (p, q) move on the letters up to
+        `horizon`: (identity, candidates, hot, step).  `hot` lists the
+        index values of the groups that must be stepped one by one (None:
+        every group); all other groups advance to p+1 unchanged, by the
+        identity transition or else by a skip, which `step` records."""
+        letter = self._letters[p - self._base]
+        table = self._tables[q]
+        identity, candidates = table.entry(letter)
+        if p + self.d > horizon:
+            candidates = tuple(c for c in candidates if p + c[1] <= horizon)
+        step = None
+        if self._paths:
+            step = ("skip", p) if identity is None else ("step", identity, p, p + 1)
+        if not candidates:
+            hot = ()
+        elif table.index is None:
+            hot = None
+        else:
+            hot = tuple(dict.fromkeys(letter[c[4]] for c in candidates))
+        return identity, candidates, hot, step
 
-    def _total_active(self) -> int:
-        return sum(len(layer) for layer in self._layers.values())
-
-    def _insert(self, pos: int, key, path) -> None:
-        layer = self._layers.get(pos)
-        if layer is None:
-            layer = {}
-            self._layers[pos] = layer
-        if key in layer:
-            return  # keep the first-discovered (shortest) path
-        cap = self.options.max_configs
-        if cap is not None and self._total_active() >= cap:
-            self.dropped += 1
-            return
-        layer[key] = path
-        total = self._total_active()
-        if total > self.peak_active:
-            self.peak_active = total
-
-    def _successors(self, pos: int, key, path, horizon: int):
-        """Standard successors of a configuration at `pos`, using letters
-        up to `horizon`; the skip successor iff there are none."""
-        state, store = key
+    def _fire(self, p: int, store, path, candidates) -> list:
+        """Successors (position, state, store, path) of one configuration
+        through the candidate transitions."""
         out = []
-        for t, d_lbl, idx in self._outgoing(state):
-            if pos + d_lbl > horizon:
-                continue
-            prefix = tuple(self._letters[pos - self._base:pos + d_lbl - self._base])
-            for store2 in match_prefix(store, t.labels, prefix):
-                step = None
-                if path is not None:
-                    step = path + (("step", idx, pos, pos + d_lbl),)
-                out.append((pos + d_lbl, (t.target, store2), step))
-        if not out and pos < horizon:
-            step = None if path is None else path + (("skip", pos),)
-            out.append((pos + 1, key, step))
+        window = self._letters
+        base = self._base
+        for labels, length, idx, target, _ in candidates:
+            prefix = tuple(window[p - base:p + length - base])
+            for store2 in match_prefix(store, labels, prefix):
+                cell = None if path is None else (path, ("step", idx, p, p + length))
+                out.append((p + length, target, store2, cell))
         return out
 
+    def _place(self, pos: int, q: str, store, path, held: bool) -> None:
+        """Add one configuration at `pos`.  A `held` one already owns a
+        slot under --max-configs; a new one is dropped when none is free."""
+        r = self._tables[q].index
+        v = None if r is None else store[r]
+        layer = self._layers.get(pos)
+        bucket = None if layer is None else layer.get(q)
+        group = None if bucket is None else bucket.get(v)
+        if group is not None and store in group:
+            if held:
+                self._active -= 1
+            return  # keep the path already recorded
+        if not held:
+            cap = self.options.max_configs
+            if cap is not None and self._active >= cap:
+                self.dropped += 1
+                return
+            self._active += 1
+        if group is None:
+            if bucket is None:
+                if layer is None:
+                    layer = self._layers[pos] = {}
+                bucket = layer[q] = {}
+            group = bucket[v] = {}
+        group[store] = path
+
+    def _move(self, pos: int, q: str, bucket: dict, step) -> None:
+        """Advance a whole bucket of state-q groups to `pos`, unchanged.
+        Its configurations keep their slots; a bucket already there is
+        merged, the smaller into the larger."""
+        if self._paths:
+            bucket = {v: {s: (path, step) for s, path in group.items()} for v, group in bucket.items()}
+        layer = self._layers.get(pos)
+        if layer is None:
+            layer = self._layers[pos] = {}
+        held = layer.get(q)
+        if held is None:
+            layer[q] = bucket
+            return
+        if len(held) < len(bucket):
+            layer[q] = bucket
+            held, bucket = bucket, held
+        for v, group in bucket.items():
+            other = held.get(v)
+            if other is None:
+                held[v] = group
+                continue
+            if len(other) < len(group):
+                held[v] = group
+                other, group = group, other
+            before = len(other) + len(group)
+            for s, path in group.items():
+                other.setdefault(s, path)
+            self._active -= before - len(other)
+
     def _expand_committed(self) -> None:
-        """Expand every configuration whose full decision window (d
-        letters of lookahead) is available."""
-        k = self._base + len(self._letters)
-        while self._layers:
-            p = min(self._layers)
+        """Step every configuration whose full decision window (d letters
+        of lookahead) is available."""
+        k = self.events_fed
+        layers = self._layers
+        while layers:
+            p = min(layers)
             if p > k - self.d:
                 break
-            layer = self._layers.pop(p)
-            for key, path in layer.items():
-                for pos2, key2, path2 in self._successors(p, key, path, k):
-                    self._insert(pos2, key2, path2)
+            for q, bucket in layers.pop(p).items():
+                identity, candidates, hot, step = self._plan(p, q, k)
+                if hot is None:
+                    groups = list(bucket.values())
+                    bucket = None
+                else:
+                    groups = [bucket.pop(v) for v in hot if v in bucket]
+                if bucket:
+                    self._move(p + 1, q, bucket, step)
+                for group in groups:
+                    for store, path in group.items():
+                        out = self._fire(p, store, path, candidates)
+                        if identity is not None or not out:
+                            self._place(p + 1, q, store, path if step is None else (path, step), True)
+                        else:
+                            self._active -= 1
+                        for pos2, q2, store2, path2 in out:
+                            self._place(pos2, q2, store2, path2, False)
+            if self._active > self.peak_active:
+                self.peak_active = self._active
 
-    def _check_now(self) -> list:
-        """Acceptance of the prefix consumed so far, on a scratch copy:
-        end-of-input semantics over the still-buffered letters."""
-        k = self._base + len(self._letters)
+    def _check_now(self) -> Optional[tuple]:
+        """Acceptance of the prefix consumed so far, with end-of-input
+        semantics over the still-buffered letters: (k, path) for the
+        first accepting configuration found, or None.  Works on a scratch
+        view; the held layers are read, never changed or copied."""
+        k = self.events_fed
         final = self.automaton.final
-        found = []
-        seen = set()
-        work = deque()
-        for pos in sorted(self._layers):
-            for key, path in self._layers[pos].items():
-                work.append((pos, key, path))
-                seen.add((pos, key))
-        while work:
-            pos, key, path = work.popleft()
-            if pos == k:
-                if key[0] in final:
-                    found.append((k, path))
-                    if not self.options.record_paths:
-                        break
-                continue
-            for pos2, key2, path2 in self._successors(pos, key, path, k):
-                if (pos2, key2) not in seen:
-                    seen.add((pos2, key2))
-                    work.append((pos2, key2, path2))
-        return found
+        for q, bucket in self._layers.get(k, {}).items():
+            if q in final:
+                return k, self._any_path(bucket, (), ())
+        # position -> [(state, bucket, index values already stepped,
+        # steps taken since the bucket's paths were recorded)]
+        pending: dict = {}
+        for p, layer in self._layers.items():
+            if p < k:
+                pending[p] = [(q, bucket, (), ()) for q, bucket in layer.items()]
+        scratch: dict = {}  # (position, state) -> bucket found by this check
+        for p in range(min(pending, default=k), k):
+            for q, bucket, done, trail in pending.get(p, ()):
+                identity, candidates, hot, step = self._plan(p, q, k)
+                if step is not None:
+                    trail += (step,)
+                if hot is None:
+                    hot = tuple(v for v in bucket if v not in done)
+                elif hot:
+                    hot = tuple(v for v in hot if v in bucket and v not in done)
+                if len(bucket) > len(done) + len(hot):
+                    done += hot
+                    if p + 1 < k:
+                        pending.setdefault(p + 1, []).append((q, bucket, done, trail))
+                    elif q in final:
+                        return k, self._any_path(bucket, done, trail)
+                for v in hot:
+                    for store, path in bucket[v].items():
+                        for earlier in trail[:-1]:
+                            path = (path, earlier)
+                        out = self._fire(p, store, path, candidates)
+                        if identity is not None or not out:
+                            out.append((p + 1, q, store, path if step is None else (path, step)))
+                        for pos2, q2, store2, path2 in out:
+                            if pos2 == k:
+                                if q2 in final:
+                                    return k, path2
+                                continue
+                            fresh = scratch.get((pos2, q2))
+                            if fresh is None:
+                                fresh = scratch[pos2, q2] = {}
+                                pending.setdefault(pos2, []).append((q2, fresh, (), ()))
+                            r = self._tables[q2].index
+                            fresh.setdefault(None if r is None else store2[r], {}).setdefault(store2, path2)
+        return None
 
-    def _emit(self, found) -> list:
-        new = []
-        for k, path in found:
-            if k in self._reported:
-                continue
-            self._reported.add(k)
-            v = Verdict(k, path)
-            self._verdicts.append(v)
-            new.append(v)
-            if self.options.stop_at_first:
-                self._finished = True
-                break
-        return new
+    def _any_path(self, bucket: dict, skip: tuple, trail: tuple):
+        """The path, extended by the steps `trail`, of some configuration
+        in `bucket` outside the groups `skip`."""
+        if not self._paths:
+            return None
+        path = next(next(iter(g.values())) for v, g in bucket.items() if v not in skip)
+        for step in trail:
+            path = (path, step)
+        return path
+
+    def _emit(self, found: Optional[tuple]) -> list:
+        if found is None or found[0] <= self._reported:
+            return []
+        k, path = found
+        self._reported = k
+        v = Verdict(k, None if path is None else _flatten(path))
+        self._verdicts.append(v)
+        if self.options.stop_at_first:
+            self._finished = True
+        return [v]
 
     # -- public API ----------------------------------------------------------
 
@@ -257,6 +442,11 @@ class Monitor:
         return self._emit(self._check_now())
 
     @property
+    def finished(self) -> bool:
+        """True once `finish` ran or `stop_at_first` saw its verdict."""
+        return self._finished
+
+    @property
     def verdicts(self) -> tuple:
         return tuple(self._verdicts)
 
@@ -265,7 +455,7 @@ class Monitor:
         return self._base + len(self._letters)
 
     def _prune_letters(self) -> None:
-        front = min(self._layers) if self._layers else self._base + len(self._letters)
+        front = min(self._layers) if self._layers else self.events_fed
         if front > self._base:
             del self._letters[: front - self._base]
             self._base = front
@@ -358,7 +548,7 @@ def run_trace(automaton: HlAutomaton, schema: Optional[EventSchema], lines: Iter
             continue
         events += 1
         monitor.feed(event)
-        if monitor._finished:
+        if monitor.finished:
             break
     monitor.finish()
     return Report(

@@ -102,17 +102,20 @@ def guard_to_json(g: Guard):
 
 
 def guard_from_json(obj) -> Guard:
-    kind = obj.get("kind")
-    if kind == "true":
-        return TRUE
-    if kind == "eq":
-        return Eq(obj["reg"], obj["pos"])
-    if kind == "neq":
-        return Neq(obj["reg"], obj["pos"])
-    if kind == "and":
-        return And(guard_from_json(obj["left"]), guard_from_json(obj["right"]))
-    if kind == "method":
-        return MethodMatch(obj["pos"], obj["event"], tuple(obj["patterns"]), obj.get("negated", False))
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    try:
+        if kind == "true":
+            return TRUE
+        if kind == "eq":
+            return Eq(obj["reg"], obj["pos"])
+        if kind == "neq":
+            return Neq(obj["reg"], obj["pos"])
+        if kind == "and":
+            return And(guard_from_json(obj["left"]), guard_from_json(obj["right"]))
+        if kind == "method":
+            return MethodMatch(obj["pos"], obj["event"], tuple(obj["patterns"]), obj.get("negated", False))
+    except KeyError as exc:
+        raise StructureError(f"bad guard {obj!r}: missing {exc}") from None
     raise StructureError(f"bad guard {obj!r}")
 
 
@@ -121,7 +124,10 @@ def action_to_json(a: tuple):
 
 
 def action_from_json(obj) -> tuple:
-    return tuple(Assign(item["reg"], item["pos"]) for item in obj)
+    try:
+        return tuple(Assign(item["reg"], item["pos"]) for item in obj)
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"bad action {obj!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

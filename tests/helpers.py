@@ -10,10 +10,12 @@ serve as ground truth for the breadth-first implementations.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import product
 
 from topl.core import (
     BOTTOM,
+    StructureError,
     NOP,
     TRUE,
     And,
@@ -27,7 +29,8 @@ from topl.core import (
     conjoin,
     eval_guard,
 )
-from topl.hl import HlAutomaton, HlTransition
+from topl.hl import HlAutomaton, HlTransition, match_prefix
+from topl.monitor import MonitorOptions, Verdict
 
 
 def atoms(*names):
@@ -306,3 +309,169 @@ def random_ra(seed: int, max_states: int = 5, max_regs: int = 3):
         transitions=tuple(transitions),
         final=frozenset(rng.sample(states, n_final)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Frozen monitor oracle
+# ---------------------------------------------------------------------------
+
+class ReferenceMonitor:
+    """The monitor as it was before configurations were indexed by state
+    and register value: every live configuration is stepped on every
+    event.  Kept as a differential oracle for `topl.monitor.Monitor`."""
+
+    def __init__(self, automaton: HlAutomaton, options: MonitorOptions = MonitorOptions()):
+        self.automaton = automaton
+        self.options = options
+        self.d = automaton.max_label_length
+        # letters still needed for decisions: the stream from position
+        # `_base` on; older letters are discarded as the front commits
+        self._letters: list = []
+        self._base = 0
+        # position (letters consumed) -> ordered {(state, store): path or None}
+        start_key = (automaton.initial, automaton.store)
+        self._layers: dict = {0: {start_key: () if options.record_paths else None}}
+        self.peak_active = 1
+        self.dropped = 0
+        self._reported: set = set()
+        self._finished = False
+        self._verdicts: list = []
+        self._outgoing_cache: dict = {}
+        # The empty prefix may already violate the property.
+        self._initial_verdicts = self._emit(self._check_now())
+
+    # -- internals ---------------------------------------------------------
+
+    def _outgoing(self, state):
+        cached = self._outgoing_cache.get(state)
+        if cached is None:
+            cached = tuple((t, len(t.labels), i) for i, t in enumerate(self.automaton.transitions)
+                           if t.source == state)
+            self._outgoing_cache[state] = cached
+        return cached
+
+    def _total_active(self) -> int:
+        return sum(len(layer) for layer in self._layers.values())
+
+    def _insert(self, pos: int, key, path) -> None:
+        layer = self._layers.get(pos)
+        if layer is None:
+            layer = {}
+            self._layers[pos] = layer
+        if key in layer:
+            return  # keep the first-discovered (shortest) path
+        cap = self.options.max_configs
+        if cap is not None and self._total_active() >= cap:
+            self.dropped += 1
+            return
+        layer[key] = path
+        total = self._total_active()
+        if total > self.peak_active:
+            self.peak_active = total
+
+    def _successors(self, pos: int, key, path, horizon: int):
+        """Standard successors of a configuration at `pos`, using letters
+        up to `horizon`; the skip successor iff there are none."""
+        state, store = key
+        out = []
+        for t, d_lbl, idx in self._outgoing(state):
+            if pos + d_lbl > horizon:
+                continue
+            prefix = tuple(self._letters[pos - self._base:pos + d_lbl - self._base])
+            for store2 in match_prefix(store, t.labels, prefix):
+                step = None
+                if path is not None:
+                    step = path + (("step", idx, pos, pos + d_lbl),)
+                out.append((pos + d_lbl, (t.target, store2), step))
+        if not out and pos < horizon:
+            step = None if path is None else path + (("skip", pos),)
+            out.append((pos + 1, key, step))
+        return out
+
+    def _expand_committed(self) -> None:
+        """Expand every configuration whose full decision window (d
+        letters of lookahead) is available."""
+        k = self._base + len(self._letters)
+        while self._layers:
+            p = min(self._layers)
+            if p > k - self.d:
+                break
+            layer = self._layers.pop(p)
+            for key, path in layer.items():
+                for pos2, key2, path2 in self._successors(p, key, path, k):
+                    self._insert(pos2, key2, path2)
+
+    def _check_now(self) -> list:
+        """Acceptance of the prefix consumed so far, on a scratch copy:
+        end-of-input semantics over the still-buffered letters."""
+        k = self._base + len(self._letters)
+        final = self.automaton.final
+        found = []
+        seen = set()
+        work = deque()
+        for pos in sorted(self._layers):
+            for key, path in self._layers[pos].items():
+                work.append((pos, key, path))
+                seen.add((pos, key))
+        while work:
+            pos, key, path = work.popleft()
+            if pos == k:
+                if key[0] in final:
+                    found.append((k, path))
+                    if not self.options.record_paths:
+                        break
+                continue
+            for pos2, key2, path2 in self._successors(pos, key, path, k):
+                if (pos2, key2) not in seen:
+                    seen.add((pos2, key2))
+                    work.append((pos2, key2, path2))
+        return found
+
+    def _emit(self, found) -> list:
+        new = []
+        for k, path in found:
+            if k in self._reported:
+                continue
+            self._reported.add(k)
+            v = Verdict(k, path)
+            self._verdicts.append(v)
+            new.append(v)
+            if self.options.stop_at_first:
+                self._finished = True
+                break
+        return new
+
+    # -- public API ----------------------------------------------------------
+
+    def feed_letter(self, letter: Letter) -> list:
+        if self._finished:
+            return []
+        if len(letter) != self.automaton.arity:
+            raise StructureError(
+                f"letter has arity {len(letter)}, automaton expects {self.automaton.arity}"
+            )
+        self._letters.append(letter)
+        self._expand_committed()
+        self._prune_letters()
+        return self._emit(self._check_now())
+
+    def finish(self) -> list:
+        """End of trace: report anything not already reported eagerly."""
+        if self._finished:
+            return []
+        self._finished = True
+        return self._emit(self._check_now())
+
+    @property
+    def verdicts(self) -> tuple:
+        return tuple(self._verdicts)
+
+    @property
+    def events_fed(self) -> int:
+        return self._base + len(self._letters)
+
+    def _prune_letters(self) -> None:
+        front = min(self._layers) if self._layers else self._base + len(self._letters)
+        if front > self._base:
+            del self._letters[: front - self._base]
+            self._base = front

@@ -169,3 +169,51 @@ def test_check_max_configs_flag(taint_files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0  # the single slot is taken by the start configuration
     assert "no violations" in out
+
+
+def test_check_missing_property_file_exits_two(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TAINT_TRACE)
+    code = main(["check", "--property", str(tmp_path / "missing.topl"), "--trace", str(trace)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: no such file:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, broken", [
+    ("guard", {"kind": "neq", "pos": 1}),  # no "reg"
+    ("action", [{"reg": 1}]),  # no "pos"
+])
+def test_guard_or_action_without_index_exits_two(tmp_path, capsys, field, broken):
+    obj = automaton_to_json(three_letter_automaton())
+    obj["transitions"][2][field] = broken
+    aut = tmp_path / "broken.json"
+    aut.write_text(dumps(obj))
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TAINT_TRACE)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dumps({"automaton": obj, "events": {"arity": 1, "variables": {}, "constants": []}}))
+    for argv in (
+        ["member", str(aut), "--word", '[["1"]]'],
+        ["translate", str(aut), "--to", "ra"],
+        ["emptiness", str(aut)],
+        ["check", "--automaton", str(bundle), "--trace", str(trace)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"error: bad {field}" in err, argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_output_is_byte_identical(taint_files, capsys, fmt):
+    prop, trace = taint_files
+    argv = ["check", "--property", str(prop), "--trace", str(trace), "--report-path", "--format", fmt]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 3
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+    if fmt == "json":
+        assert set(json.loads(outputs[0])["stats"]) == {"events", "peak_active", "dropped"}

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from helpers import UNIVERSE, ab_example, random_hl
+import topl.monitor
+from helpers import UNIVERSE, ReferenceMonitor, ab_example, random_hl
 from topl.core import BOTTOM, Atom, EventId, StructureError
 from topl.hl import hl_accepts
 from topl.monitor import (
@@ -324,6 +325,151 @@ class TestAgreementAndBounding:
         mon.finish()
         (v,) = mon.verdicts
         assert replay_path(aut, letters, v.path)
+
+
+def _run(monitor, letters):
+    for letter in letters:
+        monitor.feed_letter(letter)
+    monitor.finish()
+    return [v.matched_at for v in monitor.verdicts]
+
+
+def _random_case(seed):
+    a = random_hl(seed, max_arity=2, max_label_len=3)
+    rng = random.Random(seed + 31337)
+    trace = tuple(tuple(rng.choice(UNIVERSE) for _ in range(a.arity)) for _ in range(rng.randint(0, 12)))
+    return a, trace
+
+
+def _taint_letters(schema, sources, chains, noise_pairs, sink):
+    """A Taint trace: `sources` getParameter results, `chains` concats that
+    each extend a tainted value, untainted queries and noise between them,
+    and an executeQuery of `sink` at the end."""
+    A = Atom
+    rng = random.Random(sources * 1000 + chains)
+    events = []
+    tainted = []
+
+    def pair(method, values, result):
+        events.append(Event("call", method, values))
+        events.append(Event("ret", method, (result,)))
+
+    for i in range(sources):
+        pair("getParameter", (A("req"), A(f"p{i}")), A(f"t{i}"))
+        tainted.append(A(f"t{i}"))
+    for i in range(chains):
+        base = rng.choice(tainted)
+        args = (base, A(f"s{i}")) if i % 2 else (A(f"s{i}"), base)
+        pair("concat", args, A(f"c{i}"))
+        tainted.append(A(f"c{i}"))
+    for i in range(noise_pairs):
+        pair("com.example.Worker.run", (A("w"), A(f"n{i}")), A(f"r{i}"))
+        pair("executeQuery", (A("stmt"), A(f"u{i}")), A(f"rs{i}"))
+    events.append(Event("call", "executeQuery", (A("stmt"), sink(tainted))))
+    return [encode_event(e, schema) for e in events]
+
+
+class TestDifferential:
+    """The indexed monitor against the frozen `ReferenceMonitor` oracle."""
+
+    def test_random_automata_unbounded(self):
+        for seed in range(1000):
+            a, trace = _random_case(seed)
+            want = ReferenceMonitor(a)
+            got_verdicts = None
+            for paths in (False, True):
+                mon = Monitor(a, options=MonitorOptions(record_paths=paths))
+                got = _run(mon, trace)
+                if got_verdicts is None:
+                    got_verdicts = got
+                    assert got == _run(want, trace), seed
+                assert got == got_verdicts, seed
+                assert mon.peak_active == want.peak_active, seed
+                for v in mon.verdicts:
+                    assert (v.path is not None) == paths
+                    if paths:
+                        assert replay_path(a, trace[: v.matched_at], v.path), (seed, v)
+
+    def test_random_automata_bounded(self):
+        for seed in range(1000):
+            a, trace = _random_case(seed)
+            base = set(_run(Monitor(a), trace))
+            for cap in (1, 3, 10):
+                mon = Monitor(a, options=MonitorOptions(max_configs=cap))
+                assert set(_run(mon, trace)) <= base, (seed, cap)
+                assert mon.peak_active <= cap, (seed, cap)
+
+    def test_taint_with_hundreds_of_bindings(self):
+        aut, schema = _taint()
+        letters = _taint_letters(schema, sources=150, chains=100, noise_pairs=50, sink=lambda t: t[-1])
+        want = ReferenceMonitor(aut)
+        expected = _run(want, letters)
+        assert expected == [len(letters)]
+        mon = Monitor(aut, schema)
+        assert _run(mon, letters) == expected
+        assert mon.peak_active == want.peak_active
+        traced = Monitor(aut, schema, MonitorOptions(record_paths=True))
+        assert _run(traced, letters) == expected
+        (v,) = traced.verdicts
+        assert replay_path(aut, letters, v.path)
+
+
+class TestScaling:
+    def test_noise_cost_does_not_grow_with_bindings(self, monkeypatch):
+        calls = [0]
+        real = topl.monitor.match_prefix
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(topl.monitor, "match_prefix", counted)
+        aut, schema = _taint()
+        noise = _taint_letters(schema, sources=0, chains=0, noise_pairs=250, sink=lambda t: Atom("clean"))
+        noise = noise[:-1]  # 1,000 events, no sink call
+        assert len(noise) == 1000
+        suffix_calls = []
+        for sources in (30, 300):
+            mon = Monitor(aut, schema)
+            for letter in _taint_letters(schema, sources, 0, 0, sink=lambda t: Atom("clean"))[:-1]:
+                mon.feed_letter(letter)
+            assert mon.peak_active == sources + 1
+            before = calls[0]
+            for letter in noise:
+                mon.feed_letter(letter)
+            suffix_calls.append(calls[0] - before)
+            assert mon.verdicts == ()
+        assert suffix_calls[0] == suffix_calls[1]
+
+
+class TestMonitorState:
+    def test_finished_after_finish_or_first_verdict(self):
+        aut, schema = compile_property(parse_property(HAS_NEXT))
+        mon = Monitor(aut, schema)
+        assert not mon.finished
+        mon.finish()
+        assert mon.finished
+        mon = Monitor(aut, schema, MonitorOptions(stop_at_first=True))
+        i1 = Atom("it1")
+        for e in (Event("call", "iterator", (Atom("coll"),)), Event("ret", "iterator", (i1,)),
+                  Event("call", "next", (i1,))):
+            mon.feed(e)
+        assert mon.finished
+        assert [v.matched_at for v in mon.verdicts] == [3]
+
+    def test_check_stops_at_first_accepting_configuration(self):
+        # an absorbing error state reports each index once, paths or not
+        aut, schema = compile_property(parse_property(HAS_NEXT))
+        i1 = Atom("it1")
+        events = (
+            Event("call", "iterator", (Atom("coll"),)),
+            Event("ret", "iterator", (i1,)),
+            Event("call", "next", (i1,)),
+            Event("ret", "next", (Atom("e1"),)),
+        )
+        for paths in (False, True):
+            mon, verdicts = _feed_all(aut, schema, events, MonitorOptions(record_paths=paths))
+            assert [v.matched_at for v in verdicts] == [3, 4]
 
 
 class TestTraceParsing:
