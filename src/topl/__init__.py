@@ -32,7 +32,6 @@ from .hl import (
     HlAutomaton,
     HlConfiguration,
     HlTransition,
-    build_seq_matcher,
     hl_accepts,
     hl_successors,
     match_prefix,
@@ -75,7 +74,7 @@ __all__ = [
     "EventId", "MethodMatch", "Neq", "StructureError", "ToplAutomaton",
     "Transition", "accepts", "apply_action", "eval_guard", "step",
     "validate_automaton",
-    "HlAutomaton", "HlConfiguration", "HlTransition", "build_seq_matcher",
+    "HlAutomaton", "HlConfiguration", "HlTransition",
     "hl_accepts", "hl_successors", "match_prefix",
     "Event", "Monitor", "MonitorOptions", "Report", "Verdict", "encode_event",
     "run_trace",

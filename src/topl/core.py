@@ -185,9 +185,30 @@ class Transition:
     action: Action
     target: str
 
+    @property
+    def labels(self) -> tuple:
+        """The transition as a one-step label sequence, as high-level
+        transitions spell theirs."""
+        return ((self.guard, self.action),)
+
+
+class _IndexedTransitions:
+    """Outgoing-transition index shared by every automaton flavour: an
+    automaton with `transitions`, each having a `source`."""
+
+    def outgoing(self, state: str) -> tuple:
+        index = self.__dict__.get("_outgoing")
+        if index is None:
+            index = {}
+            for t in self.transitions:
+                index.setdefault(t.source, []).append(t)
+            index = {q: tuple(ts) for q, ts in index.items()}
+            self.__dict__["_outgoing"] = index
+        return index.get(state, ())
+
 
 @dataclass(frozen=True)
-class ToplAutomaton:
+class ToplAutomaton(_IndexedTransitions):
     """Finite-state automaton with an m-register store over n-tuple letters.
 
     A transition fires when its guard holds of (current store, letter);
@@ -204,16 +225,6 @@ class ToplAutomaton:
     store: Store
     transitions: tuple  # tuple[Transition, ...]
     final: frozenset
-
-    def outgoing(self, state: str) -> tuple:
-        index = self.__dict__.get("_outgoing")
-        if index is None:
-            index = {}
-            for t in self.transitions:
-                index.setdefault(t.source, []).append(t)
-            index = {q: tuple(ts) for q, ts in index.items()}
-            self.__dict__["_outgoing"] = index
-        return index.get(state, ())
 
 
 @dataclass(frozen=True)
@@ -316,10 +327,12 @@ def _guard_diagnostics(g: Guard, m: int, n: int, where: str) -> Iterator[str]:
                 yield f"{where}: bad event kind {atom.kind!r}"
 
 
-def validate_automaton(a: ToplAutomaton) -> list:
-    """Every violated structural invariant, as human-readable diagnostics.
+def validate_automaton(a) -> list:
+    """Every violated structural invariant of an automaton of either
+    flavour, as human-readable diagnostics.
 
-    An empty list means the automaton is well formed.
+    A low-level transition is checked as the one-step label sequence
+    its `labels` gives.  An empty list means the automaton is well formed.
     """
     diags: list = []
     if a.arity < 1:
@@ -339,16 +352,19 @@ def validate_automaton(a: ToplAutomaton) -> list:
             diags.append(f"{where}: source state unknown")
         if t.target not in a.states:
             diags.append(f"{where}: target state unknown")
-        diags.extend(_guard_diagnostics(t.guard, a.registers, a.arity, where))
-        for asg in t.action:
-            if not 1 <= asg.reg <= a.registers:
-                diags.append(f"{where}: register index out of range ({asg.reg} not in 1..{a.registers})")
-            if not 1 <= asg.pos <= a.arity:
-                diags.append(f"{where}: letter index out of range ({asg.pos} not in 1..{a.arity})")
+        if not t.labels:
+            diags.append(f"{where}: empty label sequence")
+        for g, act in t.labels:
+            diags.extend(_guard_diagnostics(g, a.registers, a.arity, where))
+            for asg in act:
+                if not 1 <= asg.reg <= a.registers:
+                    diags.append(f"{where}: register index out of range ({asg.reg} not in 1..{a.registers})")
+                if not 1 <= asg.pos <= a.arity:
+                    diags.append(f"{where}: letter index out of range ({asg.pos} not in 1..{a.arity})")
     return diags
 
 
-def require_valid(a: ToplAutomaton) -> None:
+def require_valid(a) -> None:
     diags = validate_automaton(a)
     if diags:
         raise StructureError("invalid automaton: " + "; ".join(diags))

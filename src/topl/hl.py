@@ -11,21 +11,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .core import (
-    Action,
     Configuration,
-    Guard,
     Letter,
     Store,
     StructureError,
-    ToplAutomaton,
-    Transition,
     Word,
+    _IndexedTransitions,
     apply_action,
     eval_guard,
-    _guard_diagnostics,
 )
 
 # One label step: a (guard, action) pair consuming a single letter.
@@ -40,7 +36,7 @@ class HlTransition:
 
 
 @dataclass(frozen=True)
-class HlAutomaton:
+class HlAutomaton(_IndexedTransitions):
     arity: int
     registers: int
     states: frozenset
@@ -56,16 +52,6 @@ class HlAutomaton:
             return 1
         return max(len(t.labels) for t in self.transitions)
 
-    def outgoing(self, state: str) -> tuple:
-        index = self.__dict__.get("_outgoing")
-        if index is None:
-            index = {}
-            for t in self.transitions:
-                index.setdefault(t.source, []).append(t)
-            index = {q: tuple(ts) for q, ts in index.items()}
-            self.__dict__["_outgoing"] = index
-        return index.get(state, ())
-
 
 @dataclass(frozen=True)
 class HlConfiguration:
@@ -78,104 +64,25 @@ class HlConfiguration:
         return self.configuration.state in a.final and not self.pending
 
 
-def validate_hl_automaton(a: HlAutomaton) -> list:
-    """Structural diagnostics; empty list when well formed."""
-    diags: list = []
-    if a.arity < 1:
-        diags.append(f"arity must be >= 1, got {a.arity}")
-    if a.initial not in a.states:
-        diags.append(f"initial state unknown ({a.initial!r} not in states)")
-    for q in sorted(a.final):
-        if q not in a.states:
-            diags.append(f"final state unknown ({q!r} not in states)")
-    if len(a.store) != a.registers:
-        diags.append(f"initial store has length {len(a.store)}, expected {a.registers}")
-    for i, t in enumerate(a.transitions):
-        where = f"transition {i} ({t.source}->{t.target})"
-        if t.source not in a.states:
-            diags.append(f"{where}: source state unknown")
-        if t.target not in a.states:
-            diags.append(f"{where}: target state unknown")
-        if not t.labels:
-            diags.append(f"{where}: empty label sequence")
-        for g, act in t.labels:
-            diags.extend(_guard_diagnostics(g, a.registers, a.arity, where))
-            for asg in act:
-                if not 1 <= asg.reg <= a.registers:
-                    diags.append(f"{where}: register index out of range ({asg.reg} not in 1..{a.registers})")
-                if not 1 <= asg.pos <= a.arity:
-                    diags.append(f"{where}: letter index out of range ({asg.pos} not in 1..{a.arity})")
-    return diags
-
-
-def require_valid_hl(a: HlAutomaton) -> None:
-    diags = validate_hl_automaton(a)
-    if diags:
-        raise StructureError("invalid hl automaton: " + "; ".join(diags))
-
-
 # ---------------------------------------------------------------------------
 # Sequence matching
 # ---------------------------------------------------------------------------
 
-def build_seq_matcher(s: Store, labels: Iterable[LabelStep]) -> ToplAutomaton:
-    """Linear automaton accepting exactly the words matched by `labels`.
+def match_prefix(s: Store, labels: tuple, w: Word) -> Optional[Store]:
+    """Store after the label steps of `labels` read the letters of `w`
+    one by one; None when some guard fails or the lengths differ.
 
-    States are "0".."d" with "0" initial and "d" final, initial store `s`,
-    and one transition per label step.  The arity is the largest letter
-    position the labels mention (at least 1).
+    Each step's guard reads the store its predecessors left, so a match
+    ends in exactly one store.
     """
-    labels = tuple(labels)
-    if not labels:
-        raise StructureError("label sequence must be non-empty")
-    d = len(labels)
-    arity = 1
-    for g, act in labels:
-        for atom in _iter_positions(g, act):
-            arity = max(arity, atom)
-    transitions = tuple(
-        Transition(str(i - 1), g, act, str(i)) for i, (g, act) in enumerate(labels, start=1)
-    )
-    return ToplAutomaton(
-        arity=arity,
-        registers=len(s),
-        states=frozenset(str(i) for i in range(d + 1)),
-        initial="0",
-        store=s,
-        transitions=transitions,
-        final=frozenset({str(d)}),
-    )
-
-
-def _iter_positions(g: Guard, act: Action):
-    from .core import conjuncts, Eq, Neq, MethodMatch
-
-    for atom in conjuncts(g):
-        if isinstance(atom, (Eq, Neq, MethodMatch)):
-            yield atom.pos
-    for asg in act:
-        yield asg.pos
-
-
-def match_prefix(s: Store, labels: Iterable[LabelStep], w: Word, strict: bool = False) -> set:
-    """Stores the matcher chain for `labels` can end in after reading `w`.
-
-    Empty when some guard fails or the lengths differ; for these
-    deterministic chains the result has at most one element.  With
-    `strict`, a length mismatch raises instead of reading as a plain
-    non-match (callers should normally slice the word themselves).
-    """
-    labels = tuple(labels)
     if len(w) != len(labels):
-        if strict:
-            raise StructureError(f"word of length {len(w)} against {len(labels)} label steps")
-        return set()
+        return None
     store = s
     for (g, act), letter in zip(labels, w):
         if not eval_guard(g, store, letter):
-            return set()
+            return None
         store = apply_action(act, letter, store)
-    return {store}
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +104,8 @@ def hl_successors(a: HlAutomaton, y: HlConfiguration) -> set:
         if d > len(pending):
             continue
         prefix = pending[:d]
-        for s2 in match_prefix(s, t.labels, prefix):
+        s2 = match_prefix(s, t.labels, prefix)
+        if s2 is not None:
             out.add((prefix, HlConfiguration(Configuration(t.target, s2), pending[d:])))
     if not out and pending:
         out.add((pending[:1], HlConfiguration(y.configuration, pending[1:])))

@@ -22,8 +22,9 @@ from typing import Iterable, Optional
 
 from .core import (
     BOTTOM, Atom, Eq, EventId, Letter, MethodMatch, StructureError, Value, conjuncts, eval_guard,
+    require_valid,
 )
-from .hl import HlAutomaton, match_prefix, require_valid_hl
+from .hl import HlAutomaton, match_prefix
 from .properties import EventSchema
 
 
@@ -197,7 +198,7 @@ class Monitor:
 
     def __init__(self, automaton: HlAutomaton, schema: Optional[EventSchema] = None,
                  options: MonitorOptions = MonitorOptions()):
-        require_valid_hl(automaton)
+        require_valid(automaton)
         self.automaton = automaton
         self.schema = schema
         self.options = options
@@ -251,7 +252,8 @@ class Monitor:
         base = self._base
         for labels, length, idx, target, _ in candidates:
             prefix = tuple(window[p - base:p + length - base])
-            for store2 in match_prefix(store, labels, prefix):
+            store2 = match_prefix(store, labels, prefix)
+            if store2 is not None:
                 cell = None if path is None else (path, ("step", idx, p, p + length))
                 out.append((p + length, target, store2, cell))
         return out
@@ -478,10 +480,9 @@ def replay_path(automaton: HlAutomaton, letters, path) -> bool:
         t = automaton.transitions[idx]
         if t.source != state:
             return False
-        stores = match_prefix(store, t.labels, tuple(letters[start:end]))
-        if not stores:
+        store = match_prefix(store, t.labels, tuple(letters[start:end]))
+        if store is None:
             return False
-        store = next(iter(stores))
         state = t.target
         pos = end
     return state in automaton.final

@@ -38,13 +38,16 @@ from .core import (
     Assign,
     Atom,
     Eq,
+    EventId,
     MethodMatch,
     Neq,
     StructureError,
     Value,
     conjoin,
+    conjuncts,
+    require_valid,
 )
-from .hl import HlAutomaton, HlTransition, require_valid_hl
+from .hl import HlAutomaton, HlTransition
 
 
 class PropertySyntaxError(ValueError):
@@ -445,9 +448,8 @@ def compile_property(ast: PropertyAst):
     transitions, so no event can slip in between the call and its return.
     """
     diags = check_well_formed(ast)
-    errors = [d for d in diags if not d.startswith("warning:")]
-    if errors:
-        raise StructureError("property is not well-formed: " + "; ".join(errors))
+    if not is_well_formed(diags):
+        raise StructureError("property is not well-formed: " + "; ".join(diags))
 
     n = max((_label_arity(t.label) for t in ast.transitions), default=0)
 
@@ -497,8 +499,6 @@ def compile_property(ast: PropertyAst):
         reg = const_reg[("lit", value)]
         store[reg - 1] = value
         constants.append((reg, value))
-    from .core import EventId
-
     for kind, name in event_ids:
         reg = const_reg[("event", kind, name)]
         value = EventId(kind, name)
@@ -562,7 +562,7 @@ def compile_property(ast: PropertyAst):
         transitions=tuple(transitions),
         final=frozenset({"error"}),
     )
-    require_valid_hl(automaton)
+    require_valid(automaton)
     _check_compiled(automaton, constants)
     schema = EventSchema(
         arity=n,
@@ -573,8 +573,6 @@ def compile_property(ast: PropertyAst):
 
 
 def _check_compiled(a: HlAutomaton, constants) -> None:
-    from .core import conjuncts
-
     const_regs = {reg for reg, _ in constants}
     for t in a.transitions:
         if not 1 <= len(t.labels) <= 2:

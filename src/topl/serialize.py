@@ -37,6 +37,7 @@ from .core import (
     Transition,
     TrueGuard,
     Value,
+    require_valid,
 )
 from .hl import HlAutomaton, HlTransition
 from .properties import EventSchema
@@ -169,7 +170,9 @@ def automaton_to_json(a) -> dict:
 
 def automaton_from_json(obj):
     """Load either automaton flavour; transitions with "labels" make it
-    high-level, "guard"/"action" low-level."""
+    high-level, "guard"/"action" low-level.  What it builds must pass
+    `require_valid`, so an index out of range fails here, not when a
+    run first reaches it."""
     try:
         raw_transitions = obj["transitions"]
         is_hl = any("labels" in t for t in raw_transitions)
@@ -192,12 +195,18 @@ def automaton_from_json(obj):
             )
             for t in raw_transitions
         )
-        return HlAutomaton(transitions=transitions, **common)
-    transitions = tuple(
-        Transition(t["from"], guard_from_json(t["guard"]), action_from_json(t["action"]), t["to"])
-        for t in raw_transitions
-    )
-    return ToplAutomaton(transitions=transitions, **common)
+        automaton = HlAutomaton(transitions=transitions, **common)
+    else:
+        transitions = tuple(
+            Transition(t["from"], guard_from_json(t["guard"]), action_from_json(t["action"]), t["to"])
+            for t in raw_transitions
+        )
+        automaton = ToplAutomaton(transitions=transitions, **common)
+    try:
+        require_valid(automaton)
+    except TypeError as exc:  # a count, index or state name of the wrong JSON type
+        raise StructureError(f"bad automaton JSON: {exc}") from None
+    return automaton
 
 
 # ---------------------------------------------------------------------------

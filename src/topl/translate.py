@@ -21,9 +21,10 @@ outputs, byte for byte after serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian, repeat
 
 from .core import (
+    BOTTOM,
     NOP,
     And,
     Assign,
@@ -41,7 +42,7 @@ from .core import (
     conjuncts,
     require_valid,
 )
-from .hl import HlAutomaton, HlTransition, hl_accepts, require_valid_hl
+from .hl import HlAutomaton, HlTransition, hl_accepts
 
 __all__ = [
     "RegisterAutomaton",
@@ -188,17 +189,26 @@ def negation_dnf(guards) -> list:
 # Low-level automaton -> register automaton
 # ---------------------------------------------------------------------------
 
-def _pad_atoms(count: int, taken: set) -> list:
+def _pad_atoms(taken: set):
     """Deterministic filler atoms distinct from each other and from `taken`."""
-    out = []
     i = 1
-    while len(out) < count:
+    while True:
         candidate = Atom(f"~pad{i}")
         i += 1
-        if candidate in taken:
-            continue
-        out.append(candidate)
-    return out
+        if candidate not in taken:
+            yield candidate
+
+
+def _initial_repartition(store: tuple, size: int, fillers) -> tuple:
+    """(home register of each cell of `store`, initial output store).
+
+    Distinct values get homes 1, 2, ... in order of first occurrence and
+    equal values share one; the output store of `size` cells holds each
+    value at its home and takes its other cells from `fillers`.
+    """
+    value_home: dict = {}
+    homes = tuple(value_home.setdefault(v, len(value_home) + 1) for v in store)
+    return homes, tuple(value_home) + tuple(islice(fillers, size - len(value_home)))
 
 
 def _rvec_id(rvec) -> str:
@@ -221,20 +231,7 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
     big_m = 2 * m + 1
 
     # Initial repartition: one output register per distinct initial value.
-    value_home: dict = {}
-    r0 = []
-    for v in a.store:
-        if v not in value_home:
-            value_home[v] = len(value_home) + 1
-        r0.append(value_home[v])
-    r0 = tuple(r0)
-    init_store = [None] * big_m
-    for v, home in value_home.items():
-        init_store[home - 1] = v
-    pads = _pad_atoms(big_m - len(value_home), set(a.store))
-    for slot in range(big_m):
-        if init_store[slot] is None:
-            init_store[slot] = pads.pop(0)
+    r0, init_store = _initial_repartition(a.store, big_m, _pad_atoms(set(a.store)))
 
     for t in a.transitions:
         _atoms_only(t.guard, f"transition {t.source}->{t.target}")
@@ -273,10 +270,9 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
     states = set()
     final = set()
     start = main_id(a.initial, r0)
-    queue = [(a.initial, r0)]
+    queue = [(a.initial, r0)]  # grows while the loop walks it
     visited = {(a.initial, r0)}
-    while queue:
-        q, rvec = queue.pop(0)
+    for q, rvec in queue:
         sid = main_id(q, rvec)
         states.add(sid)
         if q in a.final:
@@ -344,7 +340,7 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
         registers=big_m,
         states=frozenset(states),
         initial=start,
-        store=tuple(init_store),
+        store=init_store,
         transitions=tuple(transitions),
         final=frozenset(final),
     )
@@ -411,13 +407,34 @@ def _pair(a: int, b: int) -> tuple:
     return (a, b) if a < b else (b, a)
 
 
+class _UnionFind:
+    """Classes of registers certified equal, each named by its smallest
+    member; a register never merged is its own class."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
 class _QueueSim:
     """Shared machinery for hl_to_topl: static replay of labels over the
     repartition map, letter saving with exact match-set guards, and
     finality by statically draining the queue."""
 
     def __init__(self, a: HlAutomaton):
-        require_valid_hl(a)
+        require_valid(a)
         self.a = a
         self.n = a.arity
         self.m = a.registers
@@ -429,20 +446,8 @@ class _QueueSim:
         self._final_cache: dict = {}
 
         # Initial repartition: distinct initial values share nothing.
-        value_home: dict = {}
-        rmap = {}
-        for i, v in enumerate(a.store, start=1):
-            if v not in value_home:
-                value_home[v] = len(value_home) + 1
-            rmap[("r", i)] = value_home[v]
-        self.init_store = [None] * self.m_out
-        for v, home in value_home.items():
-            self.init_store[home - 1] = v
-        from .core import BOTTOM
-
-        for slot in range(self.m_out):
-            if self.init_store[slot] is None:
-                self.init_store[slot] = BOTTOM
+        homes, self.init_store = _initial_repartition(a.store, self.m_out, repeat(BOTTOM))
+        rmap = {("r", i): home for i, home in enumerate(homes, start=1)}
         self.initial = (a.initial, 0, 0, _freeze_rmap(rmap), ())
 
     # -- state helpers ----------------------------------------------------
@@ -567,14 +572,7 @@ class _QueueSim:
         for combo in _cartesian(options, repeat=self.n):
             guard_atoms = []
             assigns = []
-            parent = {c: c for c in image}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            classes = _UnionFind()
             fresh_targets = []
             taken = set(image)
             slot_home = {}
@@ -591,9 +589,7 @@ class _QueueSim:
                             # value need an explicit inequality
                             guard_atoms.append(Neq(c, j))
                     for c in mset:
-                        ra, rb = find(canon), find(c)
-                        if ra != rb:
-                            parent[max(ra, rb)] = min(ra, rb)
+                        classes.union(canon, c)
                     slot_home[j] = canon
                 else:
                     guard_atoms.extend(Neq(c, j) for c in image)
@@ -621,16 +617,13 @@ class _QueueSim:
                         for y in image:
                             if y not in mset:
                                 uset2.discard(_pair(x, y))
-            rmap2 = {}
-            for slot, c in rmap.items():
-                rmap2[slot] = find(c) if c in parent else c
+            find = classes.find
+            rmap2 = {slot: find(c) for slot, c in rmap.items()}
             for j in range(1, self.n + 1):
-                home = slot_home[j]
-                rmap2[("q", rot, j)] = find(home) if home in parent else home
+                rmap2[("q", rot, j)] = find(slot_home[j])
             uset3 = set()
             for x, y in uset2:
-                fx = find(x) if x in parent else x
-                fy = find(y) if y in parent else y
+                fx, fy = find(x), find(y)
                 if fx != fy:
                     uset3.add(_pair(fx, fy))
             # Components saved fresh together may or may not be equal.
@@ -668,6 +661,9 @@ class _QueueSim:
             rmap_mid = dict(rmap_mid_t)
             uset = set(unknown_mid)
             g, act = t.labels[-1]
+            # Every assignment reads the letter, not the store, so only
+            # the last one to each register takes effect.
+            act = tuple({asg.reg: asg for asg in act}.values())
             atoms = []
             eq_on = {}
             neq_on = {}
@@ -692,21 +688,12 @@ class _QueueSim:
 
             # The guard certifies equalities (all regs eq'd to one
             # component are equal) and inequalities; apply both.
-            parent = {}
-
-            def find(x):
-                parent.setdefault(x, x)
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            classes = _UnionFind()
+            find = classes.find
             for pos, regs in eq_on.items():
                 regs = sorted(regs)
                 for other in regs[1:]:
-                    ra, rb = find(regs[0]), find(other)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+                    classes.union(regs[0], other)
             for pos, regs in eq_on.items():
                 for x in regs:
                     for y in neq_on.get(pos, ()):
@@ -744,16 +731,13 @@ class _QueueSim:
                             if prev_pos != pos and prev_home not in image_mid and prev_home != target:
                                 new_edges.append(_pair(target, prev_home))
 
-            rmap_out = {}
-            for slot, c in rmap_mid.items():
-                rmap_out[slot] = find(c) if c in parent else c
+            rmap_out = {slot: find(c) for slot, c in rmap_mid.items()}
             for asg in act:
                 rmap_out[("r", asg.reg)] = comp_home[asg.pos]
             fresh_targets = {a.reg for a in assigns}
             uset2 = set()
             for x, y in uset:
-                fx = find(x) if x in parent else x
-                fy = find(y) if y in parent else y
+                fx, fy = find(x), find(y)
                 # Edges about a reused home's dead value do not apply to
                 # the component just written there.
                 if fx != fy and fx not in fresh_targets and fy not in fresh_targets:
@@ -784,6 +768,8 @@ def hl_to_topl(a: HlAutomaton) -> ToplAutomaton:
     states = {}
     final = set()
 
+    pending: list = []  # every interned state once; grows while the loop walks it
+
     def intern(st) -> str:
         sid = states.get(st)
         if sid is None:
@@ -794,13 +780,7 @@ def hl_to_topl(a: HlAutomaton) -> ToplAutomaton:
                 final.add(sid)
         return sid
 
-    pending: list = []
-    start_id_holder = []
-    pending.append(sim.initial)
-    states[sim.initial] = sim.state_id(sim.initial)
-    if sim.is_final(sim.initial):
-        final.add(states[sim.initial])
-    start_id_holder.append(states[sim.initial])
+    start = intern(sim.initial)
 
     def add_edge(src_id, guard_atoms, action, succ):
         tgt_id = intern(succ)
@@ -809,12 +789,7 @@ def hl_to_topl(a: HlAutomaton) -> ToplAutomaton:
             seen_edges.add(edge)
             transitions.append(Transition(*edge))
 
-    done = set()
-    while pending:
-        st = pending.pop(0)
-        if st in done:
-            continue
-        done.add(st)
+    for st in pending:
         sid = states[st]
         q, h, k, rmap_t, unknown = st
         if h < d - 1:
@@ -846,8 +821,8 @@ def hl_to_topl(a: HlAutomaton) -> ToplAutomaton:
         arity=n,
         registers=sim.m_out,
         states=frozenset(states.values()),
-        initial=start_id_holder[0],
-        store=tuple(sim.init_store),
+        initial=start,
+        store=sim.init_store,
         transitions=tuple(transitions),
         final=frozenset(final),
     )
@@ -967,6 +942,35 @@ def _check_same_arity(a: ToplAutomaton, b: ToplAutomaton) -> None:
         raise StructureError(f"arity mismatch: {a.arity} vs {b.arity}")
 
 
+def _moved(t: Transition, side: str, dm: int, source: str = None) -> Transition:
+    """`t` with its states prefixed by `side` and its registers shifted by
+    `dm`; it leaves `source` instead when one is given."""
+    return Transition(
+        side + t.source if source is None else source,
+        _shift_guard(t.guard, dm),
+        _shift_action(t.action, dm),
+        side + t.target,
+    )
+
+
+def _side_by_side(a: ToplAutomaton, b: ToplAutomaton, initial, transitions, final) -> ToplAutomaton:
+    """An automaton over `a`'s and `b`'s register banks side by side,
+    `a`'s first: `a`'s states and transitions copied under "a:", `b`'s
+    under "b:", then `initial` and `transitions`."""
+    _check_same_arity(a, b)
+    dm = a.registers
+    copies = [_moved(t, "a:", 0) for t in a.transitions] + [_moved(t, "b:", dm) for t in b.transitions]
+    return ToplAutomaton(
+        arity=a.arity,
+        registers=a.registers + b.registers,
+        states=frozenset({f"a:{q}" for q in a.states} | {f"b:{q}" for q in b.states} | {initial}),
+        initial=initial,
+        store=a.store + b.store,
+        transitions=tuple(copies + transitions),
+        final=frozenset(final),
+    )
+
+
 def union(a: ToplAutomaton, b: ToplAutomaton) -> ToplAutomaton:
     """Accepts a word iff `a` or `b` does.
 
@@ -974,30 +978,12 @@ def union(a: ToplAutomaton, b: ToplAutomaton) -> ToplAutomaton:
     of both originals' initial transitions and is final iff either
     original accepts the empty word.
     """
-    _check_same_arity(a, b)
-    dm = a.registers
-    transitions = [Transition(f"a:{t.source}", t.guard, t.action, f"a:{t.target}") for t in a.transitions]
-    transitions += [
-        Transition(f"b:{t.source}", _shift_guard(t.guard, dm), _shift_action(t.action, dm), f"b:{t.target}")
-        for t in b.transitions
-    ]
-    for t in a.outgoing(a.initial):
-        transitions.append(Transition("u", t.guard, t.action, f"a:{t.target}"))
-    for t in b.outgoing(b.initial):
-        transitions.append(Transition("u", _shift_guard(t.guard, dm), _shift_action(t.action, dm), f"b:{t.target}"))
+    entries = [_moved(t, "a:", 0, "u") for t in a.outgoing(a.initial)]
+    entries += [_moved(t, "b:", a.registers, "u") for t in b.outgoing(b.initial)]
     final = {f"a:{q}" for q in a.final} | {f"b:{q}" for q in b.final}
     if a.initial in a.final or b.initial in b.final:
         final.add("u")
-    states = {f"a:{q}" for q in a.states} | {f"b:{q}" for q in b.states} | {"u"}
-    return ToplAutomaton(
-        arity=a.arity,
-        registers=a.registers + b.registers,
-        states=frozenset(states),
-        initial="u",
-        store=a.store + b.store,
-        transitions=tuple(transitions),
-        final=frozenset(final),
-    )
+    return _side_by_side(a, b, "u", entries, final)
 
 
 def intersection(a: ToplAutomaton, b: ToplAutomaton) -> ToplAutomaton:
@@ -1031,28 +1017,10 @@ def concat(a: ToplAutomaton, b: ToplAutomaton) -> ToplAutomaton:
     transitions leaving `b`'s initial state; `b`'s register bank is
     untouched while `a` runs, so the second phase starts pristine.
     """
-    _check_same_arity(a, b)
-    dm = a.registers
-    transitions = [Transition(f"a:{t.source}", t.guard, t.action, f"a:{t.target}") for t in a.transitions]
-    transitions += [
-        Transition(f"b:{t.source}", _shift_guard(t.guard, dm), _shift_action(t.action, dm), f"b:{t.target}")
-        for t in b.transitions
+    handovers = [
+        _moved(t, "b:", a.registers, f"a:{qf}") for qf in sorted(a.final) for t in b.outgoing(b.initial)
     ]
-    for qf in sorted(a.final):
-        for t in b.outgoing(b.initial):
-            transitions.append(
-                Transition(f"a:{qf}", _shift_guard(t.guard, dm), _shift_action(t.action, dm), f"b:{t.target}")
-            )
     final = {f"b:{q}" for q in b.final}
     if b.initial in b.final:
         final |= {f"a:{q}" for q in a.final}
-    states = {f"a:{q}" for q in a.states} | {f"b:{q}" for q in b.states}
-    return ToplAutomaton(
-        arity=a.arity,
-        registers=a.registers + b.registers,
-        states=frozenset(states),
-        initial=f"a:{a.initial}",
-        store=a.store + b.store,
-        transitions=tuple(transitions),
-        final=frozenset(final),
-    )
+    return _side_by_side(a, b, f"a:{a.initial}", handovers, final)

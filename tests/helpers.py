@@ -22,11 +22,13 @@ from topl.core import (
     Assign,
     Atom,
     Eq,
+    MethodMatch,
     Neq,
     ToplAutomaton,
     Transition,
     apply_action,
     conjoin,
+    conjuncts,
     eval_guard,
 )
 from topl.hl import HlAutomaton, HlTransition, match_prefix
@@ -130,6 +132,43 @@ def as_hl(a: ToplAutomaton) -> HlAutomaton:
 # ---------------------------------------------------------------------------
 # Independent acceptance oracles
 # ---------------------------------------------------------------------------
+
+def build_seq_matcher(s, labels) -> ToplAutomaton:
+    """Linear automaton accepting exactly the words matched by `labels`.
+
+    States are "0".."d" with "0" initial and "d" final, initial store `s`,
+    and one transition per label step.  The arity is the largest letter
+    position the labels mention (at least 1).
+    """
+    labels = tuple(labels)
+    if not labels:
+        raise StructureError("label sequence must be non-empty")
+    d = len(labels)
+    arity = 1
+    for g, act in labels:
+        for atom in _iter_positions(g, act):
+            arity = max(arity, atom)
+    transitions = tuple(
+        Transition(str(i - 1), g, act, str(i)) for i, (g, act) in enumerate(labels, start=1)
+    )
+    return ToplAutomaton(
+        arity=arity,
+        registers=len(s),
+        states=frozenset(str(i) for i in range(d + 1)),
+        initial="0",
+        store=s,
+        transitions=transitions,
+        final=frozenset({str(d)}),
+    )
+
+
+def _iter_positions(g, act):
+    for atom in conjuncts(g):
+        if isinstance(atom, (Eq, Neq, MethodMatch)):
+            yield atom.pos
+    for asg in act:
+        yield asg.pos
+
 
 def brute_accepts(a: ToplAutomaton, word) -> bool:
     """Path enumeration of depth |word| from the initial configuration."""
@@ -378,7 +417,8 @@ class ReferenceMonitor:
             if pos + d_lbl > horizon:
                 continue
             prefix = tuple(self._letters[pos - self._base:pos + d_lbl - self._base])
-            for store2 in match_prefix(store, t.labels, prefix):
+            store2 = match_prefix(store, t.labels, prefix)
+            if store2 is not None:
                 step = None
                 if path is not None:
                     step = path + (("step", idx, pos, pos + d_lbl),)

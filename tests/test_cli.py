@@ -181,11 +181,10 @@ def test_check_missing_property_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, broken", [
-    ("guard", {"kind": "neq", "pos": 1}),  # no "reg"
-    ("action", [{"reg": 1}]),  # no "pos"
-])
-def test_guard_or_action_without_index_exits_two(tmp_path, capsys, field, broken):
+def _loading_commands(tmp_path, field, broken):
+    """Every command that loads an automaton file, run on the three-letter
+    automaton with transition 2's `field` replaced by `broken`.  The
+    word of `member` never reaches transition 2."""
     obj = automaton_to_json(three_letter_automaton())
     obj["transitions"][2][field] = broken
     aut = tmp_path / "broken.json"
@@ -194,15 +193,35 @@ def test_guard_or_action_without_index_exits_two(tmp_path, capsys, field, broken
     trace.write_text(TAINT_TRACE)
     bundle = tmp_path / "bundle.json"
     bundle.write_text(dumps({"automaton": obj, "events": {"arity": 1, "variables": {}, "constants": []}}))
-    for argv in (
+    return (
         ["member", str(aut), "--word", '[["1"]]'],
         ["translate", str(aut), "--to", "ra"],
         ["emptiness", str(aut)],
         ["check", "--automaton", str(bundle), "--trace", str(trace)],
-    ):
+    )
+
+
+@pytest.mark.parametrize("field, broken", [
+    ("guard", {"kind": "neq", "pos": 1}),  # no "reg"
+    ("action", [{"reg": 1}]),  # no "pos"
+])
+def test_guard_or_action_without_index_exits_two(tmp_path, capsys, field, broken):
+    for argv in _loading_commands(tmp_path, field, broken):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert f"error: bad {field}" in err, argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reg, message", [
+    (9, "error: invalid automaton: transition 2 (3->4): register index out of range (9 not in 1..2)"),
+    ("1", "error: bad automaton JSON: "),
+])
+def test_unreached_bad_index_exits_two(tmp_path, capsys, reg, message):
+    for argv in _loading_commands(tmp_path, "guard", {"kind": "eq", "reg": reg, "pos": 1}):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(message), argv
         assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     UNIVERSE,
     all_words,
+    as_hl,
     atoms,
     brute_accepts,
     list_cycle_automaton,
@@ -33,6 +34,7 @@ from topl.core import (
     conjoin,
     conjuncts,
     eval_guard,
+    require_valid,
     step,
     validate_automaton,
 )
@@ -199,9 +201,14 @@ class TestAccepts:
 
 
 class TestValidate:
+    """Validation of low-level automata; TestValidateHl reruns every test
+    on the same automata lifted to singleton-label high-level ones."""
+
+    lift = staticmethod(lambda a: a)
+
     def test_golden_automata_are_valid(self):
-        assert validate_automaton(three_letter_automaton()) == []
-        assert validate_automaton(list_cycle_automaton()) == []
+        assert validate_automaton(self.lift(three_letter_automaton())) == []
+        assert validate_automaton(self.lift(list_cycle_automaton())) == []
 
     def test_unknown_initial_state(self):
         t3 = three_letter_automaton()
@@ -209,7 +216,7 @@ class TestValidate:
             arity=1, registers=2, states=t3.states, initial="nope", store=t3.store,
             transitions=t3.transitions, final=t3.final,
         )
-        diags = validate_automaton(broken)
+        diags = validate_automaton(self.lift(broken))
         assert any("initial state unknown" in d for d in diags)
 
     def test_register_out_of_range(self):
@@ -219,8 +226,18 @@ class TestValidate:
             transitions=(Transition("a", Eq(3, 1), NOP, "b"),),
             final=frozenset({"b"}),
         )
-        diags = validate_automaton(broken)
+        diags = validate_automaton(self.lift(broken))
         assert any("register index out of range" in d for d in diags)
+
+    def test_negative_register_count(self):
+        broken = ToplAutomaton(
+            arity=1, registers=-1, states=frozenset({"a"}), initial="a", store=(),
+            transitions=(), final=frozenset(),
+        )
+        diags = validate_automaton(self.lift(broken))
+        assert any("register count must be >= 0" in d for d in diags)
+        with pytest.raises(StructureError, match="register count"):
+            require_valid(self.lift(broken))
 
     def test_reports_every_violation(self):
         broken = ToplAutomaton(
@@ -229,8 +246,12 @@ class TestValidate:
             transitions=(Transition("a", Eq(1, 2), (Assign(9, 1),), "gone"),),
             final=frozenset({"ghost"}),
         )
-        diags = validate_automaton(broken)
+        diags = validate_automaton(self.lift(broken))
         assert len(diags) >= 4
+
+
+class TestValidateHl(TestValidate):
+    lift = staticmethod(as_hl)
 
 
 def test_conjuncts_flattening():

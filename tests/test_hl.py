@@ -11,6 +11,7 @@ from helpers import (
     as_hl,
     atoms,
     brute_hl_accepts,
+    build_seq_matcher,
     random_hl,
     random_topl,
     single_eq_automaton,
@@ -26,16 +27,15 @@ from topl.core import (
     ToplAutomaton,
     Transition,
     accepts,
+    validate_automaton,
 )
 from topl.hl import (
     HlAutomaton,
     HlConfiguration,
     HlTransition,
-    build_seq_matcher,
     hl_accepts,
     hl_successors,
     match_prefix,
-    validate_hl_automaton,
 )
 
 
@@ -76,25 +76,20 @@ class TestMatchPrefix:
     def test_bab_matches_with_unchanged_store(self):
         A, B = atoms("A", "B")
         labels = ((Eq(2, 1), NOP), (Eq(1, 1), NOP), (Eq(2, 1), NOP))
-        assert match_prefix((A, B), labels, _letters("B", "A", "B")) == {(A, B)}
+        assert match_prefix((A, B), labels, _letters("B", "A", "B")) == (A, B)
 
     def test_first_guard_failure(self):
         A, B = atoms("A", "B")
         labels = ((Eq(2, 1), NOP), (Eq(1, 1), NOP), (Eq(2, 1), NOP))
-        assert match_prefix((A, B), labels, _letters("A", "A", "B")) == set()
+        assert match_prefix((A, B), labels, _letters("A", "A", "B")) is None
 
     def test_unconditional_write(self):
         x, y = atoms("x", "y")
-        assert match_prefix((x,), ((TRUE, (Assign(1, 1),)),), ((y,),)) == {(y,)}
+        assert match_prefix((x,), ((TRUE, (Assign(1, 1),)),), ((y,),)) == (y,)
 
     def test_length_mismatch_is_no_match(self):
         A, B = atoms("A", "B")
-        assert match_prefix((A, B), ((Eq(1, 1), NOP),), _letters("A", "A")) == set()
-
-    def test_length_mismatch_flagged_in_strict_mode(self):
-        A, B = atoms("A", "B")
-        with pytest.raises(StructureError):
-            match_prefix((A, B), ((Eq(1, 1), NOP),), _letters("A", "A"), strict=True)
+        assert match_prefix((A, B), ((Eq(1, 1), NOP),), _letters("A", "A")) is None
 
     def test_agrees_with_matcher_automaton(self):
         # Dual route: folding the labels must equal running the chain.
@@ -128,7 +123,7 @@ class TestMatchPrefix:
                             nxt.add((t.target, apply_action(t.action, letter, s)))
                 frontier = nxt
             via_chain = {s for q, s in frontier if q in chain.final}
-            assert direct == via_chain
+            assert via_chain == (set() if direct is None else {direct})
 
 
 class TestHlSuccessors:
@@ -231,9 +226,9 @@ class TestHlAccepts:
 
 def test_validate_hl():
     ab = ab_example()
-    assert validate_hl_automaton(ab) == []
+    assert validate_automaton(ab) == []
     broken = HlAutomaton(
         arity=1, registers=1, states=frozenset({"a"}), initial="a", store=(Atom("x"),),
         transitions=(HlTransition("a", (), "a"),), final=frozenset(),
     )
-    assert any("empty label" in d for d in validate_hl_automaton(broken))
+    assert any("empty label" in d for d in validate_automaton(broken))

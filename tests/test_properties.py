@@ -2,8 +2,8 @@
 
 import pytest
 
-from topl.core import BOTTOM, Atom, EventId, MethodMatch, TRUE
-from topl.hl import hl_accepts, validate_hl_automaton
+from topl.core import BOTTOM, Atom, EventId, MethodMatch, TRUE, validate_automaton
+from topl.hl import hl_accepts
 from topl.properties import (
     ANY_ARGS,
     ANY_EVENT,
@@ -161,7 +161,7 @@ class TestCompile:
         assert schema.arity == 2
         assert aut.arity == schema.width == 4
         assert schema.variables == (("x", 1),)
-        assert validate_hl_automaton(aut) == []
+        assert validate_automaton(aut) == []
 
     def test_taint_trace_reaches_error(self):
         aut, schema = compile_property(parse_property(TAINT))

@@ -209,12 +209,21 @@ class TestHlToTopl:
                 assert hl_accepts(a, w) == (w in got), (seed, w)
 
     def test_random_differential_arity_two(self):
-        for seed in range(10):
-            a = random_hl(seed + 500, max_arity=2)
+        # One label step writing one register from both letter positions:
+        # the smallest such self-loop, and two random automata with one.
+        overwrite = HlAutomaton(
+            arity=2, registers=1, states=frozenset({"s0"}), initial="s0", store=(Atom("a"),),
+            transitions=(HlTransition("s0", ((Eq(1, 2), (Assign(1, 1), Assign(1, 2))),), "s0"),),
+            final=frozenset({"s0"}),
+        )
+        cases = [(seed + 500, random_hl(seed + 500, max_arity=2)) for seed in range(10)]
+        cases += [("overwrite", overwrite)]
+        cases += [(seed, random_hl(seed, max_arity=2, max_label_len=2)) for seed in (6, 79)]
+        for name, a in cases:
             low = hl_to_topl(a)
             got = language(low, UNIVERSE, 3)
             for w in all_words(UNIVERSE, a.arity, 3):
-                assert hl_accepts(a, w) == (w in got), (seed + 500, w)
+                assert hl_accepts(a, w) == (w in got), (name, w)
 
     def test_rejects_method_guards(self):
         a = HlAutomaton(
