@@ -36,6 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="topl", description="Runtime verification of event traces "
                                               "against temporal object properties.")
@@ -50,7 +60,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--property", help="property source file (compiled on the fly)")
     src.add_argument("--automaton", help="precompiled automaton+schema JSON")
     p.add_argument("--trace", required=True, help="JSON-lines trace file")
-    p.add_argument("--max-configs", type=int, default=None, metavar="N",
+    p.add_argument("--max-configs", type=_positive_int, default=None, metavar="N",
                    help="bound on active configurations (may miss violations)")
     p.add_argument("--report-path", action="store_true", help="record violation paths")
     p.add_argument("--stop-at-first", action="store_true", help="stop at the first violation")

@@ -15,7 +15,6 @@ active configurations can only lose violations, never invent them.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -102,7 +101,6 @@ class Report:
     events: int
     peak_active: int
     dropped: int
-    wall_time: float
     warnings: tuple = ()
 
 
@@ -174,16 +172,6 @@ def _nothing(letter) -> None:
     return None
 
 
-def _flatten(cell) -> tuple:
-    """A path stored as (parent, step) cells, as a tuple of steps."""
-    steps = []
-    while cell:
-        cell, step = cell
-        steps.append(step)
-    steps.reverse()
-    return tuple(steps)
-
-
 class Monitor:
     """Single-owner online monitor; feed one event at a time.
 
@@ -192,8 +180,10 @@ class Monitor:
     state's index register (None at states without one).  An event
     steps one by one only the configurations it can move through a
     transition other than an identity one; every other group advances
-    one position unchanged as a whole dict.  Paths are (parent, step)
-    cells, flattened when a verdict is emitted.
+    one position unchanged as a whole dict.  A path is a chain of
+    (parent, (transition idx, start, end)) cells, one per transition the
+    configuration fired; the steps in between are derived when a verdict
+    is emitted (`_flatten`).
     """
 
     def __init__(self, automaton: HlAutomaton, schema: Optional[EventSchema] = None,
@@ -206,7 +196,8 @@ class Monitor:
         self._paths = options.record_paths
         self._tables = {q: _StateTable(automaton, q) for q in automaton.states}
         # letters still needed for decisions: the stream from position
-        # `_base` on; older letters are discarded as the front commits
+        # `_base` on; older letters are discarded as the front commits,
+        # unless paths are recorded
         self._letters: list = []
         self._base = 0
         self._layers: dict = {}
@@ -218,35 +209,32 @@ class Monitor:
         self._finished = False
         self._verdicts: list = []
         # The empty prefix may already violate the property.
-        self._initial_verdicts = self._emit(self._check_now())
+        self._emit(self._check_now())
 
     # -- internals ---------------------------------------------------------
 
-    def _plan(self, p: int, q: str, horizon: int) -> tuple:
-        """How the configurations at (p, q) move on the letters up to
-        `horizon`: (identity, candidates, hot, step).  `hot` lists the
-        index values of the groups that must be stepped one by one (None:
-        every group); all other groups advance to p+1 unchanged, by the
-        identity transition or else by a skip, which `step` records."""
+    def _plan(self, p: int, q: str, bucket: dict, done: tuple, horizon: int) -> tuple:
+        """How the state-q configurations in `bucket` at position p move
+        on the letters up to `horizon`: (identity, candidates, hot).
+        `hot` lists the index values of the groups in `bucket`, outside
+        `done`, that must be stepped one by one; all other groups advance
+        to p+1 unchanged, by the identity transition or else by a skip."""
         letter = self._letters[p - self._base]
         table = self._tables[q]
         identity, candidates = table.entry(letter)
         if p + self.d > horizon:
             candidates = tuple(c for c in candidates if p + c[1] <= horizon)
-        step = None
-        if self._paths:
-            step = ("skip", p) if identity is None else ("step", identity, p, p + 1)
         if not candidates:
-            hot = ()
-        elif table.index is None:
-            hot = None
-        else:
-            hot = tuple(dict.fromkeys(letter[c[4]] for c in candidates))
-        return identity, candidates, hot, step
+            return identity, candidates, ()
+        keys = bucket if table.index is None else dict.fromkeys([letter[c[4]] for c in candidates])
+        return identity, candidates, tuple([v for v in keys if v in bucket and v not in done])
 
-    def _fire(self, p: int, store, path, candidates) -> list:
-        """Successors (position, state, store, path) of one configuration
-        through the candidate transitions."""
+    def _step(self, p: int, store, path, identity, candidates) -> tuple:
+        """(successors, stays) of one configuration at position p: the
+        configurations (position, state, store, path) it reaches through
+        the candidate transitions, and whether it also stays at its state
+        for position p+1, by the identity transition or, when no
+        transition fires, by a skip."""
         out = []
         window = self._letters
         base = self._base
@@ -254,9 +242,9 @@ class Monitor:
             prefix = tuple(window[p - base:p + length - base])
             store2 = match_prefix(store, labels, prefix)
             if store2 is not None:
-                cell = None if path is None else (path, ("step", idx, p, p + length))
+                cell = None if path is None else (path, (idx, p, p + length))
                 out.append((p + length, target, store2, cell))
-        return out
+        return out, identity is not None or not out
 
     def _place(self, pos: int, q: str, store, path, held: bool) -> None:
         """Add one configuration at `pos`.  A `held` one already owns a
@@ -284,12 +272,10 @@ class Monitor:
             group = bucket[v] = {}
         group[store] = path
 
-    def _move(self, pos: int, q: str, bucket: dict, step) -> None:
+    def _move(self, pos: int, q: str, bucket: dict) -> None:
         """Advance a whole bucket of state-q groups to `pos`, unchanged.
         Its configurations keep their slots; a bucket already there is
         merged, the smaller into the larger."""
-        if self._paths:
-            bucket = {v: {s: (path, step) for s, path in group.items()} for v, group in bucket.items()}
         layer = self._layers.get(pos)
         if layer is None:
             layer = self._layers[pos] = {}
@@ -323,19 +309,15 @@ class Monitor:
             if p > k - self.d:
                 break
             for q, bucket in layers.pop(p).items():
-                identity, candidates, hot, step = self._plan(p, q, k)
-                if hot is None:
-                    groups = list(bucket.values())
-                    bucket = None
-                else:
-                    groups = [bucket.pop(v) for v in hot if v in bucket]
+                identity, candidates, hot = self._plan(p, q, bucket, (), k)
+                groups = [bucket.pop(v) for v in hot]
                 if bucket:
-                    self._move(p + 1, q, bucket, step)
+                    self._move(p + 1, q, bucket)
                 for group in groups:
                     for store, path in group.items():
-                        out = self._fire(p, store, path, candidates)
-                        if identity is not None or not out:
-                            self._place(p + 1, q, store, path if step is None else (path, step), True)
+                        out, stays = self._step(p, store, path, identity, candidates)
+                        if stays:
+                            self._place(p + 1, q, store, path, True)
                         else:
                             self._active -= 1
                         for pos2, q2, store2, path2 in out:
@@ -352,36 +334,27 @@ class Monitor:
         final = self.automaton.final
         for q, bucket in self._layers.get(k, {}).items():
             if q in final:
-                return k, self._any_path(bucket, (), ())
-        # position -> [(state, bucket, index values already stepped,
-        # steps taken since the bucket's paths were recorded)]
+                return k, self._any_path(bucket, ())
+        # position -> [(state, bucket, index values already stepped)]
         pending: dict = {}
         for p, layer in self._layers.items():
             if p < k:
-                pending[p] = [(q, bucket, (), ()) for q, bucket in layer.items()]
+                pending[p] = [(q, bucket, ()) for q, bucket in layer.items()]
         scratch: dict = {}  # (position, state) -> bucket found by this check
         for p in range(min(pending, default=k), k):
-            for q, bucket, done, trail in pending.get(p, ()):
-                identity, candidates, hot, step = self._plan(p, q, k)
-                if step is not None:
-                    trail += (step,)
-                if hot is None:
-                    hot = tuple(v for v in bucket if v not in done)
-                elif hot:
-                    hot = tuple(v for v in hot if v in bucket and v not in done)
+            for q, bucket, done in pending.get(p, ()):
+                identity, candidates, hot = self._plan(p, q, bucket, done, k)
                 if len(bucket) > len(done) + len(hot):
                     done += hot
                     if p + 1 < k:
-                        pending.setdefault(p + 1, []).append((q, bucket, done, trail))
+                        pending.setdefault(p + 1, []).append((q, bucket, done))
                     elif q in final:
-                        return k, self._any_path(bucket, done, trail)
+                        return k, self._any_path(bucket, done)
                 for v in hot:
                     for store, path in bucket[v].items():
-                        for earlier in trail[:-1]:
-                            path = (path, earlier)
-                        out = self._fire(p, store, path, candidates)
-                        if identity is not None or not out:
-                            out.append((p + 1, q, store, path if step is None else (path, step)))
+                        out, stays = self._step(p, store, path, identity, candidates)
+                        if stays:
+                            out.append((p + 1, q, store, path))
                         for pos2, q2, store2, path2 in out:
                             if pos2 == k:
                                 if q2 in final:
@@ -390,27 +363,49 @@ class Monitor:
                             fresh = scratch.get((pos2, q2))
                             if fresh is None:
                                 fresh = scratch[pos2, q2] = {}
-                                pending.setdefault(pos2, []).append((q2, fresh, (), ()))
+                                pending.setdefault(pos2, []).append((q2, fresh, ()))
                             r = self._tables[q2].index
                             fresh.setdefault(None if r is None else store2[r], {}).setdefault(store2, path2)
         return None
 
-    def _any_path(self, bucket: dict, skip: tuple, trail: tuple):
-        """The path, extended by the steps `trail`, of some configuration
-        in `bucket` outside the groups `skip`."""
-        if not self._paths:
-            return None
-        path = next(next(iter(g.values())) for v, g in bucket.items() if v not in skip)
-        for step in trail:
-            path = (path, step)
-        return path
+    @staticmethod
+    def _any_path(bucket: dict, skip: tuple):
+        """The path of some configuration in `bucket` outside the groups
+        `skip`."""
+        for v, group in bucket.items():
+            if v not in skip:
+                return next(iter(group.values()))
+
+    def _flatten(self, cell, k: int) -> tuple:
+        """The steps of a path that ends at position k, from its cells of
+        fired transitions.  Before, between and after those, the
+        configuration stays at its state one letter at a time: by the
+        state's identity transition for that letter, or else by a skip,
+        as `_plan` moves it."""
+        fired = []
+        while cell:
+            cell, step = cell
+            fired.append(step)
+        fired.reverse()
+        fired.append((None, k, k))  # the stay after the last one, up to k
+        steps = []
+        q, pos = self.automaton.initial, 0
+        for idx, start, end in fired:
+            table = self._tables[q]
+            for p in range(pos, start):
+                identity = table.entry(self._letters[p])[0]
+                steps.append(("skip", p) if identity is None else ("step", identity, p, p + 1))
+            if idx is not None:
+                steps.append(("step", idx, start, end))
+                q, pos = self.automaton.transitions[idx].target, end
+        return tuple(steps)
 
     def _emit(self, found: Optional[tuple]) -> list:
         if found is None or found[0] <= self._reported:
             return []
         k, path = found
         self._reported = k
-        v = Verdict(k, None if path is None else _flatten(path))
+        v = Verdict(k, self._flatten(path, k) if self._paths else None)
         self._verdicts.append(v)
         if self.options.stop_at_first:
             self._finished = True
@@ -457,6 +452,8 @@ class Monitor:
         return self._base + len(self._letters)
 
     def _prune_letters(self) -> None:
+        if self._paths:
+            return  # `_flatten` reads the letters from position 0 on
         front = min(self._layers) if self._layers else self.events_fed
         if front > self._base:
             del self._letters[: front - self._base]
@@ -535,7 +532,6 @@ def read_trace(lines: Iterable):
 def run_trace(automaton: HlAutomaton, schema: Optional[EventSchema], lines: Iterable,
               options: MonitorOptions = MonitorOptions(), strict: bool = True) -> Report:
     """Stream a JSON-lines trace through a monitor and collect a report."""
-    t0 = time.perf_counter()
     monitor = Monitor(automaton, schema, options)
     warnings = []
     events = 0
@@ -557,6 +553,5 @@ def run_trace(automaton: HlAutomaton, schema: Optional[EventSchema], lines: Iter
         events=events,
         peak_active=monitor.peak_active,
         dropped=monitor.dropped,
-        wall_time=time.perf_counter() - t0,
         warnings=tuple(warnings),
     )

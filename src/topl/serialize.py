@@ -59,12 +59,12 @@ def value_to_json(v: Value):
 
 def value_from_json(obj) -> Value:
     if isinstance(obj, dict):
-        if "atom" in obj:
+        if isinstance(obj.get("atom"), str):
             return Atom(obj["atom"])
         if obj.get("bottom"):
             return BOTTOM
-        if "event" in obj:
-            e = obj["event"]
+        e = obj.get("event")
+        if isinstance(e, dict) and e.get("kind") in ("call", "ret") and isinstance(e.get("method"), str):
             return EventId(e["kind"], e["method"])
     raise StructureError(f"bad value {obj!r}")
 
@@ -223,11 +223,15 @@ def schema_to_json(schema: EventSchema) -> dict:
 
 
 def schema_from_json(obj) -> EventSchema:
-    return EventSchema(
-        arity=obj["arity"],
-        variables=tuple(sorted(obj["variables"].items(), key=lambda kv: kv[1])),
-        constants=tuple((c["register"], value_from_json(c["value"])) for c in obj["constants"]),
-    )
+    try:
+        arity = obj["arity"]
+        variables = tuple(sorted(obj["variables"].items(), key=lambda kv: kv[1]))
+        constants = tuple((c["register"], value_from_json(c["value"])) for c in obj["constants"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise StructureError(f"bad events JSON: {exc}") from None
+    if not isinstance(arity, int) or arity < 0:
+        raise StructureError(f"bad events JSON: arity must be a count, got {arity!r}")
+    return EventSchema(arity=arity, variables=variables, constants=constants)
 
 
 def bundle_to_json(automaton: HlAutomaton, schema: EventSchema) -> dict:
@@ -235,7 +239,7 @@ def bundle_to_json(automaton: HlAutomaton, schema: EventSchema) -> dict:
 
 
 def bundle_from_json(obj):
-    if "automaton" not in obj or "events" not in obj:
+    if not isinstance(obj, dict) or "automaton" not in obj or "events" not in obj:
         raise StructureError("expected a compiled property bundle with 'automaton' and 'events'")
     automaton = automaton_from_json(obj["automaton"])
     if not isinstance(automaton, HlAutomaton):

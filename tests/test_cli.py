@@ -139,6 +139,11 @@ def test_usage_errors_exit_one(capsys):
     assert main(["translate", "x.json"]) == 1  # missing --to
     assert main(["member", "x.json"]) == 1  # needs --word or --word-file
     capsys.readouterr()
+    for bound in ("0", "-1", "many"):
+        assert main(["check", "--property", "p.topl", "--trace", "t.jsonl", "--max-configs", bound]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --max-configs: expected an integer >= 1"), bound
+        assert "usage:" in err and "Traceback" not in err
 
 
 def test_invalid_inputs_exit_two(tmp_path, capsys):
@@ -151,6 +156,21 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     prop.write_text("property P\nstart -> error: ???\n")
     assert main(["compile", str(prop)]) == 2
     capsys.readouterr()
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TAINT_TRACE)
+    automaton = automaton_to_json(three_letter_automaton())
+    schema = {"arity": 1, "variables": {}, "constants": []}
+    for events in ({}, dict(schema, variables=[]), dict(schema, constants=[{"register": 1}]),
+                   dict(schema, arity="1"), 3):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(dumps({"automaton": automaton, "events": events}))
+        assert main(["check", "--automaton", str(bundle), "--trace", str(trace)]) == 2, events
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad events JSON: "), events
+        assert "Traceback" not in err
+    bundle.write_text("3")
+    assert main(["check", "--automaton", str(bundle), "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: expected a compiled property bundle")
 
 
 def test_bad_word_json(tmp_path, capsys):
@@ -159,6 +179,11 @@ def test_bad_word_json(tmp_path, capsys):
     assert main(["member", str(aut), "--word", "not json"]) == 2
     assert main(["member", str(aut), "--word", '[["1","2"]]']) == 2  # arity mismatch
     capsys.readouterr()
+    for value in ('{"event": {"kind": "call"}}', '{"event": {"kind": "x", "method": "m"}}', '{"atom": [1]}'):
+        assert main(["member", str(aut), "--word", f"[[{value}]]"]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value "), value
+        assert "Traceback" not in err
 
 
 def test_check_max_configs_flag(taint_files, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import topl.monitor
 from helpers import UNIVERSE, ReferenceMonitor, ab_example, random_hl
+from topl.cli import main
 from topl.core import BOTTOM, Atom, EventId, StructureError
 from topl.hl import hl_accepts
 from topl.monitor import (
@@ -57,6 +58,23 @@ property HasNext
   unsafe -> safe:  x.hasNext[*]
   safe -> unsafe:  x.next[*]
 """
+
+
+REOPEN = """\
+property Reopen
+  start -> start: *
+  start -> open:  X := *.open[*]
+  open -> error:  x.close()
+"""
+
+REOPEN_TRACE = "".join(json.dumps(e) + "\n" for e in (
+    {"kind": "call", "method": "open", "values": ["fs"]},
+    {"kind": "ret", "method": "open", "value": "h"},
+    {"kind": "call", "method": "open", "values": ["fs"]},
+    {"kind": "ret", "method": "open", "value": "h"},
+    {"kind": "call", "method": "read", "values": ["h"]},
+    {"kind": "call", "method": "close", "values": ["h"]},
+))
 
 
 def _schema5() -> EventSchema:
@@ -325,6 +343,31 @@ class TestAgreementAndBounding:
         mon.finish()
         (v,) = mon.verdicts
         assert replay_path(aut, letters, v.path)
+
+    def test_pinned_path_through_a_bucket_merge(self, tmp_path, capsys):
+        # Two configurations reach `open` with the same store: one opened
+        # at events 1-2 and skipped events 3-4, the other idled at `start`
+        # and opened at events 3-4.  Committing position 3 moves the first
+        # onto the second's bucket at position 4; the merge keeps the one
+        # already there, which skips event 5 and closes at event 6.
+        prop = tmp_path / "reopen.topl"
+        prop.write_text(REOPEN)
+        trace = tmp_path / "reopen.jsonl"
+        trace.write_text(REOPEN_TRACE)
+        aut, schema = compile_property(parse_property(REOPEN))
+        with open(trace) as fh:
+            report = run_trace(aut, schema, fh, MonitorOptions(record_paths=True))
+        (v,) = report.verdicts
+        assert v == Verdict(6, (("step", 0, 0, 1), ("step", 0, 1, 2), ("step", 1, 2, 4),
+                                ("skip", 4), ("step", 2, 5, 6)))
+        assert report.peak_active == 3
+        assert main(["check", "--property", str(prop), "--trace", str(trace), "--report-path"]) == 3
+        assert capsys.readouterr().out == (
+            "violation at event 6\n"
+            "  path: transition 0 events 1..1; transition 0 events 2..2; transition 1 events 3..4; "
+            "skip event 5; transition 2 events 6..6\n"
+            "events: 6, peak active: 3, dropped: 0\n"
+        )
 
 
 def _run(monitor, letters):
