@@ -309,6 +309,27 @@ def accepts(a: ToplAutomaton, w: Iterable[Letter]) -> bool:
     return any(c.state in a.final for c in frontier)
 
 
+def coreachable(a) -> set:
+    """States of an automaton of either flavour from which some path of
+    transitions reaches a final state, final states included.
+
+    Guards are ignored, so a state outside this set can never accept: a
+    low-level run there dies or stays outside, and a high-level skip
+    keeps the state.
+    """
+    sources: dict = {}
+    for t in a.transitions:
+        sources.setdefault(t.target, []).append(t.source)
+    live = set(a.final)
+    todo = list(live)
+    while todo:
+        for q in sources.get(todo.pop(), ()):
+            if q not in live:
+                live.add(q)
+                todo.append(q)
+    return live
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Provides, over the core/hl modules:
 * ``hl_to_topl``: queue simulation; letters are buffered in spare
   registers, transition label sequences are replayed statically over a
   repartition map recorded in the state;
-* emptiness with verified witnesses, and union / intersection /
-  concatenation over shared-arity automata.
+* emptiness with verified witnesses, cut at co-reachability before
+  each stage, and union / intersection / concatenation over
+  shared-arity automata.
 
 All constructions are deterministic: identical inputs give identical
 outputs, byte for byte after serialization.
@@ -20,7 +21,7 @@ outputs, byte for byte after serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, product as _cartesian, repeat
 
 from .core import (
@@ -40,6 +41,7 @@ from .core import (
     accepts,
     conjoin,
     conjuncts,
+    coreachable,
     require_valid,
 )
 from .hl import HlAutomaton, HlTransition, hl_accepts
@@ -69,28 +71,39 @@ def _fresh_guard(m: int) -> Guard:
     return conjoin(Neq(i, 1) for i in range(1, m + 1))
 
 
+def _label_shape(g: Guard, fresh_atoms: frozenset) -> str:
+    """"fresh" or "eq" for the guard of a register-automaton label, else
+    why no such label can carry `g`."""
+    atoms = conjuncts(g)
+    if any(isinstance(x, MethodMatch) for x in atoms):
+        return "method-pattern guards are not allowed"
+    if fresh_atoms and frozenset(atoms) == fresh_atoms:
+        return "fresh"
+    if len(atoms) == 1 and isinstance(atoms[0], Eq) and atoms[0].pos == 1:
+        return "eq"
+    return "label is neither (fresh, set i) nor (eq i, nop)"
+
+
 def register_automaton_diagnostics(a: ToplAutomaton) -> list:
     """Why `a` is not a register automaton; empty list when it is one."""
     diags = []
     if a.arity != 1:
         diags.append(f"arity must be 1, got {a.arity}")
-    m = a.registers
-    fresh_atoms = frozenset(Neq(i, 1) for i in range(1, m + 1))
+    fresh_atoms = frozenset(Neq(i, 1) for i in range(1, a.registers + 1))
+    shapes: dict = {}  # each distinct guard object is classified once
     for idx, t in enumerate(a.transitions):
-        where = f"transition {idx} ({t.source}->{t.target})"
-        atoms = conjuncts(t.guard)
-        if any(isinstance(x, MethodMatch) for x in atoms):
-            diags.append(f"{where}: method-pattern guards are not allowed")
-            continue
-        atom_set = frozenset(atoms)
-        if atom_set == fresh_atoms and m > 0:
-            if len(t.action) != 1 or t.action[0].pos != 1:
-                diags.append(f"{where}: fresh label must store the letter into one register")
-        elif len(atoms) == 1 and isinstance(atoms[0], Eq) and atoms[0].pos == 1:
-            if t.action:
-                diags.append(f"{where}: eq label must not write any register")
-        else:
-            diags.append(f"{where}: label is neither (fresh, set i) nor (eq i, nop)")
+        problem = shapes.get(id(t.guard))
+        if problem is None:
+            problem = shapes[id(t.guard)] = _label_shape(t.guard, fresh_atoms)
+        if problem == "fresh":
+            if len(t.action) == 1 and t.action[0].pos == 1:
+                continue
+            problem = "fresh label must store the letter into one register"
+        elif problem == "eq":
+            if not t.action:
+                continue
+            problem = "eq label must not write any register"
+        diags.append(f"transition {idx} ({t.source}->{t.target}): {problem}")
     return diags
 
 
@@ -125,12 +138,18 @@ def unflatten(w: Word, arity: int) -> Word:
 # Guard helpers shared by the constructions
 # ---------------------------------------------------------------------------
 
-def _atoms_only(g: Guard, where: str) -> list:
-    atoms = conjuncts(g)
-    for a in atoms:
-        if not isinstance(a, (Eq, Neq)):
-            raise StructureError(f"{where}: only eq/neq/true conjunctions are translatable, got {a!r}")
-    return atoms
+def _require_translatable(a) -> None:
+    """Raise unless `a`, of either flavour, is well formed and every guard
+    is a conjunction of eq/neq atoms, the only guards translations read."""
+    require_valid(a)
+    for t in a.transitions:
+        for g, _ in t.labels:
+            for atom in conjuncts(g):
+                if not isinstance(atom, (Eq, Neq)):
+                    raise StructureError(
+                        f"transition {t.source}->{t.target}: "
+                        f"only eq/neq/true conjunctions are translatable, got {atom!r}"
+                    )
 
 
 def _negate_atom(atom):
@@ -226,17 +245,18 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
     Locally fresh values that the source ignores are parked in a spare
     register (register automata must store what they cannot match).
     """
-    require_valid(a)
+    _require_translatable(a)
     m, n = a.registers, a.arity
     big_m = 2 * m + 1
+    every_reg = frozenset(range(1, big_m + 1))
 
     # Initial repartition: one output register per distinct initial value.
     r0, init_store = _initial_repartition(a.store, big_m, _pad_atoms(set(a.store)))
 
-    for t in a.transitions:
-        _atoms_only(t.guard, f"transition {t.source}->{t.target}")
-
+    # The two label shapes: one guard and one action object per register.
     fresh = _fresh_guard(big_m)
+    eq_guard = [None] + [Eq(i, 1) for i in range(1, big_m + 1)]
+    store_into = [NOP] + [(Assign(i, 1),) for i in range(1, big_m + 1)]
 
     def main_id(q, rvec):
         return f"{q}|{_rvec_id(rvec)}"
@@ -263,77 +283,69 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
                     rebinds[j].add(i)
         return rebinds
 
-    per_transition = [(t, guard_sets(t), rebind_sets(t)) for t in a.transitions]
+    leaving: dict = {}  # source state -> its transitions, in order, with index and sets
+    for ti, t in enumerate(a.transitions):
+        leaving.setdefault(t.source, []).append((ti, t, guard_sets(t), rebind_sets(t)))
 
     transitions = []
-    seen_transitions = set()
+    seen_edges = set()  # (source id, matched register or None, written register or 0, target id)
     states = set()
     final = set()
     start = main_id(a.initial, r0)
+    main_ids = {(a.initial, r0): start}  # main state key -> its id
     queue = [(a.initial, r0)]  # grows while the loop walks it
-    visited = {(a.initial, r0)}
     for q, rvec in queue:
-        sid = main_id(q, rvec)
+        sid = main_ids[q, rvec]
         states.add(sid)
         if q in a.final:
             final.add(sid)
         r0_image = set(rvec)
-        for ti, (t, (eq_sets, neq_sets), rebinds) in enumerate(per_transition):
-            if t.source != q:
-                continue
+        for ti, t, (eq_sets, neq_sets), rebinds in leaving.get(q, ()):
             # Walk component paths; each entry: (current state id, r_j vector).
-            layer = [(sid, tuple(rvec))]
+            layer = [(sid, rvec)]
             for j in range(1, n + 1):
                 c_eq = {rvec[i - 1] for i in eq_sets[j]}
                 c_neq = {rvec[i - 1] for i in neq_sets[j]}
                 if len(c_eq) >= 2 or (c_eq & c_neq):
                     layer = []
                     break
+                # The register the component equals, or None for fresh.
+                hits = list(c_eq) if c_eq else [None] + sorted(every_reg - c_neq)
                 rebind = sorted(rebinds[j])
                 next_layer = {}
                 for src_id, rj in layer:
-                    branches = []
-                    if c_eq:
-                        c = next(iter(c_eq))
-                        branches.append((Eq(c, 1), c, False))
-                    else:
-                        branches.append((fresh, None, True))
-                        for i in sorted(set(range(1, big_m + 1)) - c_neq):
-                            branches.append((Eq(i, 1), i, False))
-                    for guard, hit, is_fresh in branches:
-                        rj2 = list(rj)
+                    for hit in hits:
+                        written = 0
                         if rebind:
-                            if is_fresh:
+                            if hit is None:
                                 keep = {rj[i - 1] for i in range(1, m + 1) if i not in rebinds[j]}
-                                k = min(set(range(1, big_m + 1)) - r0_image - keep)
-                                action = (Assign(k, 1),)
+                                k = written = min(every_reg - r0_image - keep)
                             else:
                                 k = hit
-                                action = NOP
+                            rj2 = list(rj)
                             for i in rebind:
                                 rj2[i - 1] = k
+                            rj2 = tuple(rj2)
                         else:
-                            if is_fresh:
-                                junk = min(set(range(1, big_m + 1)) - r0_image - set(rj))
-                                action = (Assign(junk, 1),)
-                            else:
-                                action = NOP
-                        rj2 = tuple(rj2)
+                            if hit is None:
+                                written = min(every_reg - r0_image - set(rj))
+                            rj2 = rj
                         if j == n:
                             tgt_key = (t.target, rj2)
-                            tgt_id = main_id(*tgt_key)
-                            if tgt_key not in visited:
-                                visited.add(tgt_key)
+                            tgt_id = main_ids.get(tgt_key)
+                            if tgt_id is None:
+                                tgt_id = main_ids[tgt_key] = main_id(*tgt_key)
                                 queue.append(tgt_key)
                         else:
                             tgt_id = f"{sid}>{t.target}#{ti}@{j}|{_rvec_id(rj2)}"
                             next_layer.setdefault((tgt_id, rj2), None)
                             states.add(tgt_id)
-                        edge = (src_id, guard, action, tgt_id)
-                        if edge not in seen_transitions:
-                            seen_transitions.add(edge)
-                            transitions.append(Transition(*edge))
-                layer = [key for key in next_layer]
+                        edge = (src_id, hit, written, tgt_id)
+                        if edge not in seen_edges:
+                            seen_edges.add(edge)
+                            guard = fresh if hit is None else eq_guard[hit]
+                            transitions.append(Transition(src_id, guard, store_into[written], tgt_id))
+                layer = list(next_layer)
 
     return RegisterAutomaton(
         arity=1,
@@ -434,15 +446,12 @@ class _QueueSim:
     finality by statically draining the queue."""
 
     def __init__(self, a: HlAutomaton):
-        require_valid(a)
+        _require_translatable(a)
         self.a = a
         self.n = a.arity
         self.m = a.registers
         self.d = a.max_label_length
         self.m_out = self.m + (self.d - 1) * self.n
-        for t in a.transitions:
-            for g, _ in t.labels:
-                _atoms_only(g, f"transition {t.source}->{t.target}")
         self._final_cache: dict = {}
 
         # Initial repartition: distinct initial values share nothing.
@@ -838,13 +847,16 @@ def ra_emptiness(a: ToplAutomaton):
     Every register-automaton label is satisfiable over the infinite value
     set (pick the register's value for eq, an unused value for fresh), so
     emptiness is plain state reachability; witnesses are built along a
-    shortest path and verified by replay before being returned.
+    shortest path and verified by replay before being returned.  A
+    `RegisterAutomaton` was checked when it was built; any other
+    automaton is checked here.
     """
-    diags = register_automaton_diagnostics(a)
-    if diags:
-        raise StructureError(
-            "not a register automaton (translate with topl_to_ra first): " + "; ".join(diags)
-        )
+    if not isinstance(a, RegisterAutomaton):
+        diags = register_automaton_diagnostics(a)
+        if diags:
+            raise StructureError(
+                "not a register automaton (translate with topl_to_ra first): " + "; ".join(diags)
+            )
     parent: dict = {a.initial: None}
     order = [a.initial]
     goal = None
@@ -896,26 +908,57 @@ def ra_emptiness(a: ToplAutomaton):
     return witness
 
 
+def _coreachable_part(a: ToplAutomaton):
+    """`a` without the states that cannot reach a final state and the
+    transitions into them; None when the initial state is one of them.
+
+    A dropped state only ever leads to dropped states, so the part has
+    the same runs to final states as `a`, hence the same language.
+    """
+    live = coreachable(a)
+    if a.initial not in live:
+        return None
+    if len(live) == len(a.states):
+        return a
+    return replace(
+        a, states=frozenset(live), transitions=tuple(t for t in a.transitions if t.target in live)
+    )
+
+
 def emptiness(a):
     """Emptiness for either automaton flavour; the witness (if any) is
-    un-flattened back to the source arity and verified by replay."""
+    un-flattened back to the source arity and verified by replay.
+
+    Every structural check runs first.  Then each stage is cut at
+    co-reachability: the answer is "empty" at once when the initial
+    state cannot reach a final state in the transition graph (a skip
+    keeps the state, so this holds for high-level automata too), and
+    `topl_to_ra` only sees the co-reachable part of the low-level
+    automaton.  Dropped states lie on no path to a final state, so the
+    answers and witnesses are those of the uncut stages.
+    """
     if isinstance(a, HlAutomaton):
-        low = hl_to_topl(a)
+        replays = hl_accepts
     elif isinstance(a, ToplAutomaton):
-        low = a
+        replays = accepts
     else:
         raise StructureError(f"unsupported automaton type {type(a).__name__}")
-    ra = topl_to_ra(low)
-    flat = ra_emptiness(ra)
+    _require_translatable(a)
+    if isinstance(a, HlAutomaton):
+        if a.initial not in coreachable(a):
+            return None
+        low = hl_to_topl(a)
+    else:
+        low = a
+    live = _coreachable_part(low)
+    if live is None:
+        return None
+    flat = ra_emptiness(topl_to_ra(live))
     if flat is None:
         return None
     word = unflatten(flat, low.arity)
-    if isinstance(a, HlAutomaton):
-        if not hl_accepts(a, word):
-            raise StructureError("internal: witness does not replay on the source automaton")
-    else:
-        if not accepts(a, word):
-            raise StructureError("internal: witness does not replay on the source automaton")
+    if not replays(a, word):
+        raise StructureError("internal: witness does not replay on the source automaton")
     return word
 
 

@@ -351,6 +351,20 @@ def random_ra(seed: int, max_states: int = 5, max_regs: int = 3):
 
 
 # ---------------------------------------------------------------------------
+# Uncut emptiness oracle
+# ---------------------------------------------------------------------------
+
+def reference_emptiness(a):
+    """Emptiness by the three stages on whole automata, with no cut at
+    co-reachability: the answer `topl.translate.emptiness` must keep."""
+    from topl.translate import hl_to_topl, ra_emptiness, topl_to_ra, unflatten
+
+    low = hl_to_topl(a) if isinstance(a, HlAutomaton) else a
+    flat = ra_emptiness(topl_to_ra(low))
+    return None if flat is None else unflatten(flat, low.arity)
+
+
+# ---------------------------------------------------------------------------
 # Frozen monitor oracle
 # ---------------------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from topl.core import (
     apply_action,
     conjoin,
     conjuncts,
+    coreachable,
     eval_guard,
     require_valid,
     step,
@@ -260,3 +261,19 @@ def test_conjuncts_flattening():
     assert conjuncts(TRUE) == []
     assert conjoin([]) == TRUE
     assert conjoin([Eq(1, 1)]) == Eq(1, 1)
+
+
+@pytest.mark.parametrize("lift", [lambda a: a, as_hl])
+def test_coreachable_ignores_guards(lift):
+    # 1 -> 2 -> 3 -> 4 (final); 5 leads to 1, 6 is reached from 1 only.
+    t3 = three_letter_automaton()
+    a = ToplAutomaton(
+        arity=1, registers=2, states=t3.states | {"5", "6"}, initial="1", store=t3.store,
+        transitions=t3.transitions + (Transition("5", Eq(1, 1), NOP, "1"), Transition("1", TRUE, NOP, "6")),
+        final=t3.final,
+    )
+    assert coreachable(lift(a)) == {"1", "2", "3", "4", "5"}
+    assert coreachable(lift(ToplAutomaton(
+        arity=1, registers=2, states=a.states, initial="1", store=t3.store,
+        transitions=a.transitions, final=frozenset(),
+    ))) == set()

@@ -1,5 +1,6 @@
 """Translations between automaton flavours, emptiness, closures."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     random_hl,
     random_ra,
     random_topl,
+    reference_emptiness,
     single_eq_automaton,
     three_letter_automaton,
 )
@@ -22,6 +24,7 @@ from topl.core import (
     BOTTOM,
     NOP,
     TRUE,
+    And,
     Assign,
     Atom,
     Eq,
@@ -31,7 +34,9 @@ from topl.core import (
     ToplAutomaton,
     Transition,
     accepts,
+    coreachable,
 )
+from topl.cli import main
 from topl.hl import HlAutomaton, HlTransition, hl_accepts
 from topl.serialize import automaton_to_json, dumps
 from topl.translate import (
@@ -263,6 +268,29 @@ class TestRaEmptiness:
         with pytest.raises(StructureError, match="topl_to_ra"):
             ra_emptiness(t3)
 
+    def test_diagnostics_of_shared_guard_objects(self):
+        # One guard object on several transitions is classified once, but
+        # each transition's action is still judged on its own.
+        fresh, eq = And(Neq(1, 1), Neq(2, 1)), Eq(2, 1)
+        a = ToplAutomaton(
+            arity=1, registers=2, states=frozenset({"p", "q"}), initial="p", store=(BOTTOM, BOTTOM),
+            transitions=(
+                Transition("q", fresh, NOP, "p"),
+                Transition("p", fresh, (Assign(1, 1),), "q"),
+                Transition("q", eq, (Assign(2, 1),), "q"),
+                Transition("p", eq, NOP, "p"),
+                Transition("q", Neq(1, 1), NOP, "q"),
+                Transition("q", MethodMatch(1, "call", ("m",)), NOP, "q"),
+            ),
+            final=frozenset({"q"}),
+        )
+        assert register_automaton_diagnostics(a) == [
+            "transition 0 (q->p): fresh label must store the letter into one register",
+            "transition 2 (q->q): eq label must not write any register",
+            "transition 4 (q->q): label is neither (fresh, set i) nor (eq i, nop)",
+            "transition 5 (q->q): method-pattern guards are not allowed",
+        ]
+
     def test_witnesses_always_replay(self):
         for seed in range(60):
             ra = random_ra(seed)
@@ -292,6 +320,68 @@ class TestEmptiness:
         w = emptiness(lc)
         assert w is not None
         assert accepts(lc, w)
+
+    def test_same_answers_as_the_uncut_stages(self):
+        families = {
+            "topl": [random_topl(seed) for seed in range(200)],
+            "hl arity 1": [random_hl(seed, max_arity=1, max_label_len=2) for seed in range(100)],
+            "hl arity <= 2": [
+                random_hl(seed, max_states=3, max_regs=0, max_arity=2, max_label_len=2) for seed in range(100)
+            ] + [random_hl(seed, max_regs=1, max_arity=2, max_label_len=1) for seed in range(100)],
+        }
+        for name, automata in families.items():
+            answers = [emptiness(a) for a in automata]
+            for i, (a, got) in enumerate(zip(automata, answers)):
+                assert got == reference_emptiness(a), (name, i)
+            # Each family has answers of both kinds, and automata cut at
+            # the start as well as automata only partly co-reachable.
+            assert None in answers and any(w is not None for w in answers), name
+            assert any(a.initial not in coreachable(a) for a in automata), name
+            lows = [hl_to_topl(a) if isinstance(a, HlAutomaton) else a for a in automata]
+            lives = [(low, coreachable(low)) for low in lows]
+            assert any(low.initial in live and len(live) < len(low.states) for low, live in lives), name
+        assert {a.arity for a in families["hl arity <= 2"]} == {1, 2}
+
+    def test_low_level_cut_after_hl_to_topl(self):
+        # The hl initial state reaches the final state, but only through
+        # a guard no letter satisfies, so the translation has no path
+        # from its initial state to a final state.
+        a = HlAutomaton(
+            arity=1, registers=1, states=frozenset({"s", "f"}), initial="s", store=(Atom("v"),),
+            transitions=(HlTransition("s", ((And(Eq(1, 1), Neq(1, 1)), NOP),), "f"),
+                         HlTransition("s", ((TRUE, NOP),), "s")),
+            final=frozenset({"f"}),
+        )
+        assert a.initial in coreachable(a)
+        low = hl_to_topl(a)
+        assert low.initial not in coreachable(low)
+        assert emptiness(a) is None
+        assert reference_emptiness(a) is None
+
+    def test_checks_come_before_the_cut(self, tmp_path, capsys):
+        # Neither automaton can reach its final state, yet both are
+        # rejected as before, not answered "empty".
+        method = HlAutomaton(
+            arity=1, registers=0, states=frozenset({"a", "b"}), initial="a", store=(),
+            transitions=(HlTransition("a", ((MethodMatch(1, "call", ("m",)), NOP),), "a"),),
+            final=frozenset({"b"}),
+        )
+        assert method.initial not in coreachable(method)
+        with pytest.raises(StructureError, match="only eq/neq/true conjunctions are translatable"):
+            emptiness(method)
+        aut = tmp_path / "method.json"
+        aut.write_text(dumps(automaton_to_json(method)))
+        assert main(["emptiness", str(aut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+        out_of_range = ToplAutomaton(
+            arity=1, registers=1, states=frozenset({"a", "b"}), initial="a", store=(BOTTOM,),
+            transitions=(Transition("a", Eq(3, 1), NOP, "a"),), final=frozenset({"b"}),
+        )
+        assert out_of_range.initial not in coreachable(out_of_range)
+        with pytest.raises(StructureError, match=r"register index out of range \(3 not in 1..1\)"):
+            emptiness(out_of_range)
 
 
 def _single_letter_automaton(name="k"):
@@ -372,7 +462,16 @@ class TestClosures:
             union(t3, lc)
 
 
+# sha256 of the serialized `topl_to_ra(random_topl(seed))` for seeds
+# 0-99, one per line: pins the bytes `translate --to ra` writes.
+TOPL_TO_RA_SHA256 = "27fa6c43e6a3ae1922cb3d9917a764b09f73eb0f6a3e54d79c5f00456ba61346"
+
+
 class TestDeterminism:
+    def test_topl_to_ra_bytes_are_pinned(self):
+        text = "\n".join(dumps(automaton_to_json(topl_to_ra(random_topl(seed)))) for seed in range(100))
+        assert hashlib.sha256(text.encode()).hexdigest() == TOPL_TO_RA_SHA256
+
     def test_translations_are_reproducible(self):
         s1 = dumps(automaton_to_json(topl_to_ra(three_letter_automaton())))
         s2 = dumps(automaton_to_json(topl_to_ra(three_letter_automaton())))
