@@ -86,14 +86,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json(path: str):
+def _open(path: str, errors: str = "strict"):
+    """`path` opened as UTF-8 text; StructureError when it cannot be."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return open(path, "r", encoding="utf-8", errors=errors)
     except FileNotFoundError:
         raise StructureError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise StructureError(f"{path}: {exc.strerror}") from None
+
+
+def _read_text(path: str) -> str:
+    with _open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise StructureError(f"{path}: not valid UTF-8") from None
+
+
+def _parse_json(text: str, where: str):
+    """The JSON value of `text`; StructureError naming `where` when it
+    is not one."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise StructureError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+        raise StructureError(f"{where}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+    except (RecursionError, ValueError) as exc:  # the decoder's nesting and digit limits
+        raise StructureError(f"{where}: invalid JSON ({exc})") from None
+
+
+def _load_json(path: str):
+    return _parse_json(_read_text(path), path)
 
 
 def _load_automaton(path: str):
@@ -113,12 +136,7 @@ def _write_out(text: str, out) -> None:
 
 
 def _compile_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except FileNotFoundError:
-        raise StructureError(f"no such file: {path}") from None
-    return compile_property(parse_property(source))
+    return compile_property(parse_property(_read_text(path)))
 
 
 def _cmd_compile(args) -> int:
@@ -138,11 +156,9 @@ def _cmd_check(args) -> int:
         record_paths=args.report_path,
         stop_at_first=args.stop_at_first,
     )
-    try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            report = run_trace(automaton, schema, fh, options, strict=args.strict_trace)
-    except FileNotFoundError:
-        raise StructureError(f"no such file: {args.trace}") from None
+    # undecodable bytes reach parse_trace_line, which rejects their line
+    with _open(args.trace, errors="surrogateescape") as fh:
+        report = run_trace(automaton, schema, fh, options, strict=args.strict_trace)
 
     if args.format == "json":
         payload = {
@@ -217,10 +233,7 @@ def _cmd_member(args) -> int:
         raise _UsageError("member needs exactly one of --word or --word-file")
     automaton = _load_automaton(args.automaton)
     if args.word is not None:
-        try:
-            obj = json.loads(args.word)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"--word: invalid JSON ({exc.msg})") from None
+        obj = _parse_json(args.word, "--word")
     else:
         obj = _load_json(args.word_file)
     word = word_from_json(obj, automaton.arity)

@@ -10,6 +10,7 @@ action (copy letter components into store cells).  All indices are
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
@@ -23,37 +24,56 @@ class StructureError(Exception):
 # Values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    """An opaque value; two atoms are equal iff their names are equal."""
+class Atom(str):
+    """An opaque value; two atoms are equal iff their names are equal.
 
-    name: str
+    An atom is its name as a `str` subclass, so it hashes and compares
+    as fast as the string does.  It equals its name as a plain string
+    too, which never matters: plain strings are never values.
+    """
+
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return str.__str__(self)
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
 
+    __str__ = __repr__
 
-@dataclass(frozen=True)
-class EventId:
-    """Identifier of an observable event: a call or return of a method."""
 
-    kind: str  # "call" | "ret"
-    method: str
+class EventId(namedtuple("EventId", "kind method")):
+    """Identifier of an observable event: a call or return of a method.
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("call", "ret"):
-            raise ValueError(f"event kind must be 'call' or 'ret', got {self.kind!r}")
+    A named tuple (kind, method), so it hashes and compares as fast as
+    the tuple does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, method: str):
+        if kind not in ("call", "ret"):
+            raise ValueError(f"event kind must be 'call' or 'ret', got {kind!r}")
+        return tuple.__new__(cls, (kind, method))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __repr__(self) -> str:
         return f"EventId({self.kind} {self.method})"
 
 
-@dataclass(frozen=True)
 class _Bottom:
     """The dummy value; equal only to itself."""
 
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "BOTTOM"
+
+    def __reduce__(self) -> str:
+        return "BOTTOM"  # copies and pickles are the one instance
 
 
 BOTTOM = _Bottom()
@@ -386,6 +406,13 @@ def validate_automaton(a) -> list:
 
 
 def require_valid(a) -> None:
+    """Raise StructureError with every diagnostic unless `a` is well
+    formed.  Automata are immutable, so a success is recorded on the
+    instance, as `outgoing` keeps its index there: a repeat call costs
+    O(1)."""
+    if "_valid" in a.__dict__:
+        return
     diags = validate_automaton(a)
     if diags:
         raise StructureError("invalid automaton: " + "; ".join(diags))
+    a.__dict__["_valid"] = True

@@ -15,12 +15,14 @@ active configurations can only lose violations, never invent them.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import (
-    BOTTOM, Atom, Eq, EventId, Letter, MethodMatch, StructureError, Value, conjuncts, eval_guard,
+    BOTTOM, Atom, Eq, EventId, Letter, MethodMatch, StructureError, conjuncts, eval_guard,
     require_valid,
 )
 from .hl import HlAutomaton, match_prefix
@@ -35,24 +37,23 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Event:
-    """One observed call or return.
-
-    For calls, `values` holds the receiver followed by the arguments
-    (static calls may supply a placeholder receiver).  For returns,
-    `values` holds the single return value, the dummy value if void.
+class Event(namedtuple("Event", "kind method values")):
+    """One observed call or return: kind "call" or "ret", method name and
+    a tuple of values.  For calls, `values` holds the receiver followed by
+    the arguments (static calls may supply a placeholder receiver).  For
+    returns, it holds the single return value, the dummy value if void.
     """
 
-    kind: str  # "call" | "ret"
-    method: str
-    values: tuple  # tuple[Value, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("call", "ret"):
-            raise ValueError(f"event kind must be 'call' or 'ret', got {self.kind!r}")
-        if any(isinstance(v, EventId) for v in self.values):
+    def __new__(cls, kind: str, method: str, values: tuple):
+        if kind not in ("call", "ret"):
+            raise ValueError(f"event kind must be 'call' or 'ret', got {kind!r}")
+        if any(map(isinstance, values, repeat(EventId))):
             raise ValueError("event values cannot contain event ids")
+        return tuple.__new__(cls, (kind, method, values))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
 
 def encode_event(e: Event, schema: EventSchema) -> Letter:
@@ -61,18 +62,15 @@ def encode_event(e: Event, schema: EventSchema) -> Letter:
     Call values beyond the schema arity are a hard error; silently
     truncating could hide the very value a property tracks.
     """
+    kind, method, values = e
     n = schema.arity
-    if e.kind == "call":
-        if len(e.values) > n:
-            raise StructureError(
-                f"event {e.method} carries {len(e.values)} values but the schema allows {n}"
-            )
-        tail = e.values + (BOTTOM,) * (n - len(e.values))
-        return (EventId("call", e.method), BOTTOM) + tail
-    if len(e.values) > 1:
-        raise StructureError(f"return event {e.method} carries {len(e.values)} values")
-    result = e.values[0] if e.values else BOTTOM
-    return (EventId("ret", e.method), result) + (BOTTOM,) * n
+    if kind == "call":
+        if len(values) > n:
+            raise StructureError(f"event {method} carries {len(values)} values but the schema allows {n}")
+        return (EventId("call", method), BOTTOM) + values + (BOTTOM,) * (n - len(values))
+    if len(values) > 1:
+        raise StructureError(f"return event {method} carries {len(values)} values")
+    return (EventId("ret", method), values[0] if values else BOTTOM) + (BOTTOM,) * n
 
 
 @dataclass(frozen=True)
@@ -175,15 +173,22 @@ def _nothing(letter) -> None:
 class Monitor:
     """Single-owner online monitor; feed one event at a time.
 
-    Configurations are stored as {position: {state: {index value:
-    {store: path}}}}, where the index value is the store's value in the
-    state's index register (None at states without one).  An event
-    steps one by one only the configurations it can move through a
-    transition other than an identity one; every other group advances
-    one position unchanged as a whole dict.  A path is a chain of
-    (parent, (transition idx, start, end)) cells, one per transition the
-    configuration fired; the steps in between are derived when a verdict
-    is emitted (`_flatten`).
+    `_layers[i]` holds the configurations that have consumed `_front + i`
+    letters as {state: {index value: {store: path}}}, where the index
+    value is the store's value in the state's index register (None at
+    states without one).  Positions are relative to the moving base
+    `_front`, below which no configuration is held.
+
+    Each event runs one walk (`_advance`) up to the horizon k, the number
+    of letters fed.  The front layer commits once its full window of d
+    letters is visible: only the groups an event can move through a
+    transition other than an identity one are stepped one by one, every
+    other group advances one position as a whole dict.  Acceptance of the
+    first k letters is then decided on a scratch view.  The front is
+    planned once over its full window, for its commit.  An event is quiet
+    when no bucket has a hot group: it rebuilds no layer, and a lone front
+    layer advances by moving the base.  A path is a chain of (parent,
+    (transition idx, start, end)) cells, one per fired transition.
     """
 
     def __init__(self, automaton: HlAutomaton, schema: Optional[EventSchema] = None,
@@ -200,7 +205,10 @@ class Monitor:
         # unless paths are recorded
         self._letters: list = []
         self._base = 0
-        self._layers: dict = {}
+        self._front = 0
+        self._layers: list = []
+        # (front position, `_plan_front`'s answer for it)
+        self._front_plans: tuple = (-1, None)
         self._active = 0  # configurations held over all layers
         self._place(0, automaton.initial, automaton.store, () if self._paths else None, False)
         self.peak_active = 1
@@ -209,7 +217,7 @@ class Monitor:
         self._finished = False
         self._verdicts: list = []
         # The empty prefix may already violate the property.
-        self._emit(self._check_now())
+        self._emit(self._advance())
 
     # -- internals ---------------------------------------------------------
 
@@ -221,13 +229,23 @@ class Monitor:
         to p+1 unchanged, by the identity transition or else by a skip."""
         letter = self._letters[p - self._base]
         table = self._tables[q]
-        identity, candidates = table.entry(letter)
+        identity, candidates = table.entries.get(table.read(letter)) or table.entry(letter)
         if p + self.d > horizon:
             candidates = tuple(c for c in candidates if p + c[1] <= horizon)
         if not candidates:
             return identity, candidates, ()
         keys = bucket if table.index is None else dict.fromkeys([letter[c[4]] for c in candidates])
         return identity, candidates, tuple([v for v in keys if v in bucket and v not in done])
+
+    def _plan_front(self) -> Optional[dict]:
+        """The plans of the front layer's buckets over its full window,
+        for its commit: {state: plan}, or None when no group is hot.  They
+        are made once per front position; only the commit changes them."""
+        p = self._front
+        if self._front_plans[0] != p:
+            plans = {q: self._plan(p, q, bucket, (), p + self.d) for q, bucket in self._layers[0].items()}
+            self._front_plans = (p, plans if any(map(itemgetter(2), plans.values())) else None)
+        return self._front_plans[1]
 
     def _step(self, p: int, store, path, identity, candidates) -> tuple:
         """(successors, stays) of one configuration at position p: the
@@ -246,13 +264,21 @@ class Monitor:
                 out.append((p + length, target, store2, cell))
         return out, identity is not None or not out
 
+    def _layer(self, pos: int) -> dict:
+        """The held layer at `pos`, added empty when missing."""
+        layers = self._layers
+        i = pos - self._front
+        while len(layers) <= i:
+            layers.append({})
+        return layers[i]
+
     def _place(self, pos: int, q: str, store, path, held: bool) -> None:
         """Add one configuration at `pos`.  A `held` one already owns a
         slot under --max-configs; a new one is dropped when none is free."""
         r = self._tables[q].index
         v = None if r is None else store[r]
-        layer = self._layers.get(pos)
-        bucket = None if layer is None else layer.get(q)
+        layer = self._layer(pos)
+        bucket = layer.get(q)
         group = None if bucket is None else bucket.get(v)
         if group is not None and store in group:
             if held:
@@ -266,8 +292,6 @@ class Monitor:
             self._active += 1
         if group is None:
             if bucket is None:
-                if layer is None:
-                    layer = self._layers[pos] = {}
                 bucket = layer[q] = {}
             group = bucket[v] = {}
         group[store] = path
@@ -276,9 +300,7 @@ class Monitor:
         """Advance a whole bucket of state-q groups to `pos`, unchanged.
         Its configurations keep their slots; a bucket already there is
         merged, the smaller into the larger."""
-        layer = self._layers.get(pos)
-        if layer is None:
-            layer = self._layers[pos] = {}
+        layer = self._layer(pos)
         held = layer.get(q)
         if held is None:
             layer[q] = bucket
@@ -299,17 +321,15 @@ class Monitor:
                 other.setdefault(s, path)
             self._active -= before - len(other)
 
-    def _expand_committed(self) -> None:
-        """Step every configuration whose full decision window (d letters
-        of lookahead) is available."""
-        k = self.events_fed
+    def _commit(self) -> None:
+        """Step the front layer, whose full decision window (d letters of
+        lookahead) is visible, and move the base past it."""
+        p = self._front
         layers = self._layers
-        while layers:
-            p = min(layers)
-            if p > k - self.d:
-                break
-            for q, bucket in layers.pop(p).items():
-                identity, candidates, hot = self._plan(p, q, bucket, (), k)
+        plans = self._plan_front()
+        if plans is not None or len(layers) > 1:  # else the layer advances as a whole
+            for q, bucket in layers[0].items():
+                identity, candidates, hot = plans[q] if plans else (None, (), ())
                 groups = [bucket.pop(v) for v in hot]
                 if bucket:
                     self._move(p + 1, q, bucket)
@@ -322,32 +342,46 @@ class Monitor:
                             self._active -= 1
                         for pos2, q2, store2, path2 in out:
                             self._place(pos2, q2, store2, path2, False)
-            if self._active > self.peak_active:
-                self.peak_active = self._active
+            del layers[0]
+        self._front = p + 1
+        if self._active > self.peak_active:
+            self.peak_active = self._active
 
-    def _check_now(self) -> Optional[tuple]:
-        """Acceptance of the prefix consumed so far, with end-of-input
-        semantics over the still-buffered letters: (k, path) for the
-        first accepting configuration found, or None.  Works on a scratch
-        view; the held layers are read, never changed or copied."""
-        k = self.events_fed
+    def _advance(self) -> Optional[tuple]:
+        """The walk of one event, up to the horizon k = letters fed: commit
+        the front while its full window is visible, then decide acceptance
+        of the first k letters, with end-of-input semantics over the
+        buffered ones, on a scratch view that reads the held layers and
+        never changes them: (k, path) of the first accepting configuration
+        found, or None."""
+        k = self._base + len(self._letters)
+        while self._front <= k - self.d:
+            self._commit()
+        front = self._front
+        if not self._paths and front > self._base:
+            del self._letters[: front - self._base]
+            self._base = front
         final = self.automaton.final
-        for q, bucket in self._layers.get(k, {}).items():
-            if q in final:
-                return k, self._any_path(bucket, ())
-        # position -> [(state, bucket, index values already stepped)]
-        pending: dict = {}
-        for p, layer in self._layers.items():
-            if p < k:
-                pending[p] = [(q, bucket, ()) for q, bucket in layer.items()]
+        layers = self._layers
+        if k - front < len(layers):
+            for q, bucket in layers[k - front].items():
+                if q in final:
+                    return k, self._any_path(bucket, ())
+        if front + 1 == k and self._plan_front() is None:  # quiet: all idle to k
+            for q, bucket in layers[0].items():
+                if q in final:
+                    return k, self._any_path(bucket, ())
+            return None
+        carried: dict = {}  # position -> [(state, bucket, index values already stepped)]
         scratch: dict = {}  # (position, state) -> bucket found by this check
-        for p in range(min(pending, default=k), k):
-            for q, bucket, done in pending.get(p, ()):
+        for p in range(front, k):
+            held = layers[p - front] if p - front < len(layers) else {}
+            for q, bucket, done in chain(zip(held, held.values(), repeat(())), carried.pop(p, ())):
                 identity, candidates, hot = self._plan(p, q, bucket, done, k)
                 if len(bucket) > len(done) + len(hot):
                     done += hot
                     if p + 1 < k:
-                        pending.setdefault(p + 1, []).append((q, bucket, done))
+                        carried.setdefault(p + 1, []).append((q, bucket, done))
                     elif q in final:
                         return k, self._any_path(bucket, done)
                 for v in hot:
@@ -363,7 +397,7 @@ class Monitor:
                             fresh = scratch.get((pos2, q2))
                             if fresh is None:
                                 fresh = scratch[pos2, q2] = {}
-                                pending.setdefault(pos2, []).append((q2, fresh, ()))
+                                carried.setdefault(pos2, []).append((q2, fresh, ()))
                             r = self._tables[q2].index
                             fresh.setdefault(None if r is None else store2[r], {}).setdefault(store2, path2)
         return None
@@ -423,20 +457,16 @@ class Monitor:
         if self._finished:
             return []
         if len(letter) != self.automaton.arity:
-            raise StructureError(
-                f"letter has arity {len(letter)}, automaton expects {self.automaton.arity}"
-            )
+            raise StructureError(f"letter has arity {len(letter)}, automaton expects {self.automaton.arity}")
         self._letters.append(letter)
-        self._expand_committed()
-        self._prune_letters()
-        return self._emit(self._check_now())
+        return self._emit(self._advance())
 
     def finish(self) -> list:
         """End of trace: report anything not already reported eagerly."""
         if self._finished:
             return []
         self._finished = True
-        return self._emit(self._check_now())
+        return self._emit(self._advance())
 
     @property
     def finished(self) -> bool:
@@ -447,61 +477,40 @@ class Monitor:
     def verdicts(self) -> tuple:
         return tuple(self._verdicts)
 
-    @property
-    def events_fed(self) -> int:
-        return self._base + len(self._letters)
-
-    def _prune_letters(self) -> None:
-        if self._paths:
-            return  # `_flatten` reads the letters from position 0 on
-        front = min(self._layers) if self._layers else self.events_fed
-        if front > self._base:
-            del self._letters[: front - self._base]
-            self._base = front
-
-
-def replay_path(automaton: HlAutomaton, letters, path) -> bool:
-    """Check that a reported path really drives the automaton from its
-    initial configuration to a final state, consuming a prefix exactly."""
-    state, store = automaton.initial, automaton.store
-    pos = 0
-    for step in path:
-        if step[0] == "skip":
-            if step[1] != pos:
-                return False
-            pos += 1
-            continue
-        _, idx, start, end = step
-        if start != pos:
-            return False
-        t = automaton.transitions[idx]
-        if t.source != state:
-            return False
-        store = match_prefix(store, t.labels, tuple(letters[start:end]))
-        if store is None:
-            return False
-        state = t.target
-        pos = end
-    return state in automaton.final
-
 
 # ---------------------------------------------------------------------------
 # Trace files
 # ---------------------------------------------------------------------------
 
-def _value_from_json(v, line: int) -> Value:
-    if v is None:
-        return BOTTOM
-    if isinstance(v, str):
-        return Atom(v)
-    raise TraceError(f"values must be strings or null, got {v!r}", line)
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_value(text: str):
+    """`json.loads(text)`, minus its whitespace scans when `text` is one
+    JSON value alone; any other text, errors included, is json.loads'."""
+    try:
+        obj, end = _raw_decode(text)
+        if end == len(text):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(text)
 
 
 def parse_trace_line(text: str, line: int) -> Event:
+    """The event on one trace line.  Undecodable bytes of a trace file
+    read with the "surrogateescape" error handler arrive as lone
+    surrogates, so a line holding them is not UTF-8 text."""
     try:
-        obj = json.loads(text)
+        if not text.isascii():
+            text.encode()
+        obj = _json_value(text)
+    except UnicodeEncodeError:
+        raise TraceError("not valid UTF-8", line) from None
     except json.JSONDecodeError as exc:
         raise TraceError(f"invalid JSON ({exc.msg})", line) from None
+    except (RecursionError, ValueError) as exc:  # the decoder's nesting and digit limits
+        raise TraceError(f"invalid JSON ({exc})", line) from None
     if not isinstance(obj, dict):
         raise TraceError("each line must be a JSON object", line)
     kind = obj.get("kind")
@@ -514,19 +523,12 @@ def parse_trace_line(text: str, line: int) -> Event:
         raw = obj.get("values", [])
         if not isinstance(raw, list):
             raise TraceError("values must be a list", line)
-        values = tuple(_value_from_json(v, line) for v in raw)
     else:
-        values = (_value_from_json(obj.get("value"), line),)
-    return Event(kind, method, values)
-
-
-def read_trace(lines: Iterable):
-    """Yield (line number, text) for every non-empty JSON-lines entry."""
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        yield lineno, text
+        raw = (obj.get("value"),)
+    for v in raw:
+        if v is not None and not isinstance(v, str):
+            raise TraceError(f"values must be strings or null, got {v!r}", line)
+    return Event(kind, method, tuple([BOTTOM if v is None else Atom(v) for v in raw]))
 
 
 def run_trace(automaton: HlAutomaton, schema: Optional[EventSchema], lines: Iterable,
@@ -535,7 +537,10 @@ def run_trace(automaton: HlAutomaton, schema: Optional[EventSchema], lines: Iter
     monitor = Monitor(automaton, schema, options)
     warnings = []
     events = 0
-    for lineno, text in read_trace(lines):
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
         try:
             event = parse_trace_line(text, lineno)
         except TraceError as exc:
@@ -548,10 +553,5 @@ def run_trace(automaton: HlAutomaton, schema: Optional[EventSchema], lines: Iter
         if monitor.finished:
             break
     monitor.finish()
-    return Report(
-        verdicts=monitor.verdicts,
-        events=events,
-        peak_active=monitor.peak_active,
-        dropped=monitor.dropped,
-        warnings=tuple(warnings),
-    )
+    return Report(verdicts=monitor.verdicts, events=events, peak_active=monitor.peak_active,
+                  dropped=monitor.dropped, warnings=tuple(warnings))

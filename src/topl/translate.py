@@ -140,7 +140,11 @@ def unflatten(w: Word, arity: int) -> Word:
 
 def _require_translatable(a) -> None:
     """Raise unless `a`, of either flavour, is well formed and every guard
-    is a conjunction of eq/neq atoms, the only guards translations read."""
+    is a conjunction of eq/neq atoms, the only guards translations read.
+    A success is recorded on the instance, as `require_valid` records its
+    own."""
+    if "_translatable" in a.__dict__:
+        return
     require_valid(a)
     for t in a.transitions:
         for g, _ in t.labels:
@@ -150,6 +154,7 @@ def _require_translatable(a) -> None:
                         f"transition {t.source}->{t.target}: "
                         f"only eq/neq/true conjunctions are translatable, got {atom!r}"
                     )
+    a.__dict__["_translatable"] = True
 
 
 def _negate_atom(atom):

@@ -365,8 +365,33 @@ def reference_emptiness(a):
 
 
 # ---------------------------------------------------------------------------
-# Frozen monitor oracle
+# Monitor oracles: path replay and the frozen monitor
 # ---------------------------------------------------------------------------
+
+def replay_path(automaton: HlAutomaton, letters, path) -> bool:
+    """Check that a reported path really drives the automaton from its
+    initial configuration to a final state, consuming a prefix exactly."""
+    state, store = automaton.initial, automaton.store
+    pos = 0
+    for step in path:
+        if step[0] == "skip":
+            if step[1] != pos:
+                return False
+            pos += 1
+            continue
+        _, idx, start, end = step
+        if start != pos:
+            return False
+        t = automaton.transitions[idx]
+        if t.source != state:
+            return False
+        store = match_prefix(store, t.labels, tuple(letters[start:end]))
+        if store is None:
+            return False
+        state = t.target
+        pos = end
+    return state in automaton.final
+
 
 class ReferenceMonitor:
     """The monitor as it was before configurations were indexed by state

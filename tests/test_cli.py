@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import three_letter_automaton
+from helpers import ReferenceMonitor, three_letter_automaton
 from topl.cli import main
-from topl.serialize import automaton_to_json, dumps
+from topl.monitor import TraceError, encode_event, parse_trace_line
+from topl.serialize import automaton_to_json, bundle_from_json, dumps
 from topl.translate import topl_to_hl
 
 TAINT = """\
@@ -156,6 +161,13 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     prop.write_text("property P\nstart -> error: ???\n")
     assert main(["compile", str(prop)]) == 2
     capsys.readouterr()
+    good = tmp_path / "taint.topl"
+    good.write_text(TAINT)
+    for argv in (["emptiness", str(tmp_path)], ["compile", str(tmp_path)],
+                 ["check", "--property", str(good), "--trace", str(tmp_path)]):
+        assert main(argv) == 2, argv  # a directory
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err, argv
     trace = tmp_path / "t.jsonl"
     trace.write_text(TAINT_TRACE)
     automaton = automaton_to_json(three_letter_automaton())
@@ -261,3 +273,148 @@ def test_check_output_is_byte_identical(taint_files, capsys, fmt):
     assert outputs[0] == outputs[1]
     if fmt == "json":
         assert set(json.loads(outputs[0])["stats"]) == {"events", "peak_active", "dropped"}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b'{"kind":"call","method":"m","values":["\xff"]}', "not valid UTF-8"),
+    (b"[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+], ids=["not-utf8", "deep"])
+def test_undecodable_or_deep_trace_line_is_a_trace_error(taint_files, tmp_path, capsys, bad, message):
+    prop, _ = taint_files
+    first, *rest = TAINT_TRACE.encode().splitlines(keepends=True)
+    trace = tmp_path / "bad.jsonl"
+    trace.write_bytes(first + bad + b"\n" + b"".join(rest))
+    argv = ["check", "--property", str(prop), "--trace", str(trace)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith(f"warning: trace line 2: {message}") and not err
+    assert "violation at event 3" in out
+    assert main(argv + ["--strict-trace"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace line 2: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"arity": "\xff"}', "not valid UTF-8"),
+    (b"[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+], ids=["not-utf8", "deep"])
+def test_undecodable_or_deep_input_file_exits_two(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TAINT_TRACE)
+    for argv in (
+        ["emptiness", str(bad)],
+        ["translate", str(bad), "--to", "ra"],
+        ["check", "--automaton", str(bad), "--trace", str(trace)],
+        ["member", str(bad), "--word", "[]"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}"), argv
+        assert "Traceback" not in err
+    aut = tmp_path / "topl1.json"
+    aut.write_text(dumps(automaton_to_json(three_letter_automaton())))
+    assert main(["member", str(aut), "--word-file", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    if message != "not valid UTF-8":
+        assert main(["member", str(aut), "--word", content.decode()]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --word: {message}")
+    prop = tmp_path / "bad.topl"
+    prop.write_bytes(b"property P\n  start -> error: " + content + b"\n")
+    assert main(["compile", str(prop)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if message == "not valid UTF-8":
+        assert err.startswith(f"error: {prop}: not valid UTF-8")
+
+
+# -- trace fuzzing -----------------------------------------------------------
+
+_ATOMS = st.sampled_from(["req", "p", "t1", "t2", "stmt", "u"])
+_METHODS = st.sampled_from([
+    "javax.servlet.http.HttpServletRequest.getParameter", "java.lang.String.concat",
+    "java.sql.Statement.executeQuery", "com.example.Worker.run",
+])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_VALUE = _ATOMS | st.none() | st.integers() | st.lists(_ATOMS, max_size=1)
+
+
+@st.composite
+def _event_line(draw):
+    """A Taint event, mostly well formed; some fields missing or wrong."""
+    obj = {"kind": draw(st.sampled_from(["call", "ret"]) | st.sampled_from(["jump", 1, None]))}
+    if draw(st.integers(0, 9)):
+        obj["method"] = draw(_METHODS | st.integers())
+    if draw(st.booleans()):
+        obj["values"] = draw(st.lists(_ATOMS | st.none(), max_size=2)
+                             | st.lists(_VALUE, max_size=2) | _VALUE)
+    if draw(st.booleans()):
+        obj["value"] = draw(_VALUE)
+    return json.dumps(obj).encode()
+
+
+_LINE = (
+    st.binary(max_size=40)
+    | _JSON.map(lambda v: json.dumps(v).encode())
+    | _event_line()
+    | st.sampled_from(TAINT_TRACE.encode().splitlines())
+)
+
+
+def _reference_check(bundle, trace):
+    """(warnings, verdicts, peak_active) of a reference loop over the
+    trace file: `parse_trace_line`, `encode_event`, `ReferenceMonitor`."""
+    automaton, schema = bundle_from_json(json.loads(bundle.read_text()))
+    monitor = ReferenceMonitor(automaton)
+    warnings = []
+    with open(trace, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                event = parse_trace_line(raw.strip(), lineno)
+            except TraceError as exc:
+                warnings.append(str(exc))
+                continue
+            monitor.feed_letter(encode_event(event, schema))
+    monitor.finish()
+    return warnings, [v.matched_at for v in monitor.verdicts], monitor.peak_active
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(_LINE, max_size=12))
+def test_fuzzed_trace_lines(tmp_path_factory, lines):
+    work = tmp_path_factory.mktemp("fuzz")
+    prop, bundle, trace = work / "taint.topl", work / "taint.json", work / "t.jsonl"
+    prop.write_text(TAINT)
+    assert main(["compile", str(prop), "-o", str(bundle)]) == 0
+    trace.write_bytes(b"\n".join(lines) + b"\n")
+    warnings, verdicts, peak = _reference_check(bundle, trace)
+    argv = ["check", "--automaton", str(bundle), "--trace", str(trace), "--format", "json"]
+
+    code, out, err = _run_main(argv)
+    assert code == (3 if verdicts else 0), err
+    assert err == ""
+    report = json.loads(out)
+    assert report["warnings"] == warnings
+    assert [v["event"] for v in report["verdicts"]] == verdicts
+    assert report["stats"]["peak_active"] == peak
+
+    code, out, err = _run_main(argv + ["--strict-trace"])
+    assert "Traceback" not in err
+    if warnings:
+        assert code == 2 and err == f"error: {warnings[0]}\n"
+    else:
+        assert code == (3 if verdicts else 0) and err == ""

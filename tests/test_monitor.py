@@ -7,7 +7,7 @@ import random
 import pytest
 
 import topl.monitor
-from helpers import UNIVERSE, ReferenceMonitor, ab_example, random_hl
+from helpers import UNIVERSE, ReferenceMonitor, ab_example, random_hl, replay_path
 from topl.cli import main
 from topl.core import BOTTOM, Atom, EventId, StructureError
 from topl.hl import hl_accepts
@@ -19,7 +19,6 @@ from topl.monitor import (
     Verdict,
     encode_event,
     parse_trace_line,
-    replay_path,
     run_trace,
 )
 from topl.properties import EventSchema, compile_property, parse_property
@@ -455,6 +454,56 @@ class TestDifferential:
         assert _run(traced, letters) == expected
         (v,) = traced.verdicts
         assert replay_path(aut, letters, v.path)
+
+
+class TestQuietStretches:
+    """A few bindings, thousands of events that step no configuration,
+    then a sink: the quiet events advance the layers without stepping
+    them, against the frozen `ReferenceMonitor`."""
+
+    def _letters(self, aut, schema):
+        letters = _taint_letters(schema, sources=3, chains=2, noise_pairs=750, sink=lambda t: t[-1])
+        assert len(letters) == 3011
+        return letters
+
+    def test_unbounded(self):
+        aut, schema = _taint()
+        letters = self._letters(aut, schema)
+        want = ReferenceMonitor(aut)
+        expected = _run(want, letters)
+        assert expected == [len(letters)]
+        mon = Monitor(aut, schema)
+        assert _run(mon, letters) == expected
+        assert mon.peak_active == want.peak_active == 6
+        assert mon.dropped == 0
+
+    def test_bounded(self):
+        aut, schema = _taint()
+        letters = self._letters(aut, schema)
+        base = set(_run(Monitor(aut, schema), letters))
+        # `dropped` as the monitor counted it before quiet events moved
+        # whole layers
+        for cap, dropped in ((1, 3), (3, 2)):
+            mon = Monitor(aut, schema, MonitorOptions(max_configs=cap))
+            assert set(_run(mon, letters)) <= base, cap
+            assert mon.peak_active <= cap
+            assert mon.dropped == dropped, cap
+
+    def test_paths_and_stop_at_first(self):
+        aut, schema = _taint()
+        letters = self._letters(aut, schema)
+        want = ReferenceMonitor(aut, MonitorOptions(record_paths=True, stop_at_first=True))
+        expected = _run(want, letters)
+        mon = Monitor(aut, schema, MonitorOptions(record_paths=True, stop_at_first=True))
+        assert _run(mon, letters) == expected == [len(letters)]
+        assert mon.peak_active == want.peak_active
+        (v,) = mon.verdicts
+        assert replay_path(aut, letters, v.path)
+        # the path the monitor reported before quiet events moved whole
+        # layers: identity steps around the four transitions it fired
+        fired = [step for step in v.path if step[1] not in (0, 2)]
+        assert fired == [("step", 1, 0, 2), ("step", 4, 6, 8), ("step", 3, 8, 10), ("step", 5, 3010, 3011)]
+        assert len(v.path) == len(letters) - 3
 
 
 class TestScaling:

@@ -36,9 +36,10 @@ from topl.core import (
     accepts,
     coreachable,
 )
+from topl import core
 from topl.cli import main
 from topl.hl import HlAutomaton, HlTransition, hl_accepts
-from topl.serialize import automaton_to_json, dumps
+from topl.serialize import automaton_from_json, automaton_to_json, dumps
 from topl.translate import (
     RegisterAutomaton,
     concat,
@@ -357,6 +358,32 @@ class TestEmptiness:
         assert low.initial not in coreachable(low)
         assert emptiness(a) is None
         assert reference_emptiness(a) is None
+
+    def test_loaded_automaton_is_validated_once(self, monkeypatch):
+        # Loading validates; `emptiness` and `hl_to_topl` find the recorded
+        # success.  Only `hl_to_topl`'s cut output, a new automaton, is
+        # validated again.
+        checked = []
+        real = core.validate_automaton
+
+        def counted(a):
+            checked.append(a)
+            return real(a)
+
+        monkeypatch.setattr(core, "validate_automaton", counted)
+        for seed in range(14):  # answers of both kinds, some cut before `hl_to_topl`
+            a = automaton_from_json(automaton_to_json(random_hl(seed)))
+            del checked[:]
+            emptiness(a)
+            assert not any(b is a for b in checked), seed
+            assert len(checked) <= 1, seed
+        broken = HlAutomaton(
+            arity=1, registers=1, states=frozenset({"a"}), initial="a", store=(BOTTOM,),
+            transitions=(HlTransition("a", ((Eq(3, 1), NOP),), "a"),), final=frozenset({"a"}),
+        )
+        for _ in range(2):  # a failure is not recorded
+            with pytest.raises(StructureError, match="register index out of range"):
+                emptiness(broken)
 
     def test_checks_come_before_the_cut(self, tmp_path, capsys):
         # Neither automaton can reach its final state, yet both are
