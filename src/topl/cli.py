@@ -129,8 +129,11 @@ def _load_automaton(path: str):
 
 def _write_out(text: str, out) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StructureError(f"{out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -124,15 +124,14 @@ class _StateTable:
 
     __slots__ = ("read", "index", "outgoing", "entries")
 
-    def __init__(self, automaton: HlAutomaton, state: str):
+    def __init__(self, transitions: list):
+        # (index, transition) of the state's outgoing transitions, in order
         outgoing = []
         shared = None  # registers every non-identity transition compares with Eq
-        for idx, t in enumerate(automaton.transitions):
-            if t.source != state:
-                continue
+        for idx, t in transitions:
             atoms = conjuncts(t.labels[0][0])
             methods = tuple(a for a in atoms if isinstance(a, MethodMatch))
-            identity = (len(t.labels) == 1 and t.target == state and not t.labels[0][1]
+            identity = (len(t.labels) == 1 and t.target == t.source and not t.labels[0][1]
                         and len(methods) == len(atoms))
             eqs = [(a.reg - 1, a.pos - 1) for a in atoms if isinstance(a, Eq)]
             if not identity:
@@ -199,7 +198,10 @@ class Monitor:
         self.options = options
         self.d = automaton.max_label_length
         self._paths = options.record_paths
-        self._tables = {q: _StateTable(automaton, q) for q in automaton.states}
+        leaving: dict = {q: [] for q in automaton.states}
+        for idx, t in enumerate(automaton.transitions):
+            leaving[t.source].append((idx, t))
+        self._tables = {q: _StateTable(out) for q, out in leaving.items()}
         # letters still needed for decisions: the stream from position
         # `_base` on; older letters are discarded as the front commits,
         # unless paths are recorded

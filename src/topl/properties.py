@@ -38,7 +38,6 @@ from .core import (
     Assign,
     Atom,
     Eq,
-    EventId,
     MethodMatch,
     Neq,
     StructureError,
@@ -406,14 +405,13 @@ class EventSchema:
     Letters have width ``arity + 2``: position 1 is the event id,
     position 2 the return value, positions 3.. the call values (receiver
     first, then arguments, padded with the dummy value).  ``variables``
-    maps property variables to their registers; ``constants`` lists
-    preloaded registers (literal values and mentioned event ids), which
-    no action ever writes.
+    maps property variables to their registers.  The registers after
+    them hold one literal value each, preloaded in the initial store and
+    never written; event ids are matched at position 1 and take none.
     """
 
     arity: int
     variables: tuple  # tuple[(name, register), ...]
-    constants: tuple  # tuple[(register, Value), ...]
 
     @property
     def width(self) -> int:
@@ -442,10 +440,11 @@ def compile_property(ast: PropertyAst):
     """Compile a well-formed property into (HlAutomaton, EventSchema).
 
     Register layout is deterministic: property variables in first-use
-    order, then one constant register per distinct literal value and per
-    distinct concrete event id mentioned.  Call and return labels become
-    one-letter transitions; call-return labels become two-letter
-    transitions, so no event can slip in between the call and its return.
+    order, then one constant register per distinct literal value.  Method
+    patterns become `MethodMatch` atoms on position 1, the event id, and
+    take no register.  Call and return labels become one-letter
+    transitions; call-return labels become two-letter transitions, so no
+    event can slip in between the call and its return.
     """
     diags = check_well_formed(ast)
     if not is_well_formed(diags):
@@ -455,55 +454,16 @@ def compile_property(ast: PropertyAst):
 
     variables: list = []
     literal_values: list = []
-    event_ids: list = []
-
-    def note_pattern(p: Pattern) -> None:
-        if isinstance(p, (Bind, Read, NotRead)) and p.var not in variables:
-            variables.append(p.var)
-        if isinstance(p, Literal) and p.value not in literal_values:
-            literal_values.append(p.value)
-
-    def note_method(ref: MethodRef, kind: str) -> None:
-        if "*" in ref.pattern or ref.negated:
-            return
-        key = (kind, ref.pattern)
-        if key not in event_ids:
-            event_ids.append(key)
-
     for t in ast.transitions:
-        label = t.label
-        for _, p in _label_patterns(label):
-            note_pattern(p)
-        if isinstance(label, Call):
-            note_method(label.method, "call")
-        elif isinstance(label, Ret):
-            note_method(label.method, "ret")
-        elif isinstance(label, CallRet):
-            note_method(label.method, "call")
-            note_method(label.method, "ret")
+        for _, p in _label_patterns(t.label):
+            if isinstance(p, (Bind, Read, NotRead)) and p.var not in variables:
+                variables.append(p.var)
+            if isinstance(p, Literal) and p.value not in literal_values:
+                literal_values.append(p.value)
 
     var_reg = {v: i + 1 for i, v in enumerate(variables)}
-    const_reg: dict = {}
-    next_reg = len(variables) + 1
-    for value in literal_values:
-        const_reg[("lit", value)] = next_reg
-        next_reg += 1
-    for kind, name in event_ids:
-        const_reg[("event", kind, name)] = next_reg
-        next_reg += 1
-    registers = next_reg - 1
-
-    store = [BOTTOM] * registers
-    constants = []
-    for value in literal_values:
-        reg = const_reg[("lit", value)]
-        store[reg - 1] = value
-        constants.append((reg, value))
-    for kind, name in event_ids:
-        reg = const_reg[("event", kind, name)]
-        value = EventId(kind, name)
-        store[reg - 1] = value
-        constants.append((reg, value))
+    const_reg = {value: len(variables) + i for i, value in enumerate(literal_values, start=1)}
+    store = (BOTTOM,) * len(variables) + tuple(literal_values)
 
     def pattern_step(p: Pattern, pos: int):
         """(guard atoms, action assigns) for one pattern at one position."""
@@ -515,7 +475,7 @@ def compile_property(ast: PropertyAst):
             return [Eq(var_reg[p.var], pos)], []
         if isinstance(p, NotRead):
             return [Neq(var_reg[p.var], pos)], []
-        return [Eq(const_reg[("lit", p.value)], pos)], []
+        return [Eq(const_reg[p.value], pos)], []
 
     def call_step(method: MethodRef, receiver: Pattern, args) -> tuple:
         atoms = [MethodMatch(1, "call", _expand_method(method, ast.prefixes), method.negated)]
@@ -555,25 +515,20 @@ def compile_property(ast: PropertyAst):
     states = set(ast.vertices()) | {"start", "error"}
     automaton = HlAutomaton(
         arity=n + 2,
-        registers=registers,
+        registers=len(store),
         states=frozenset(states),
         initial="start",
-        store=tuple(store),
+        store=store,
         transitions=tuple(transitions),
         final=frozenset({"error"}),
     )
     require_valid(automaton)
-    _check_compiled(automaton, constants)
-    schema = EventSchema(
-        arity=n,
-        variables=tuple((v, var_reg[v]) for v in variables),
-        constants=tuple(constants),
-    )
+    _check_compiled(automaton, set(const_reg.values()))
+    schema = EventSchema(arity=n, variables=tuple((v, var_reg[v]) for v in variables))
     return automaton, schema
 
 
-def _check_compiled(a: HlAutomaton, constants) -> None:
-    const_regs = {reg for reg, _ in constants}
+def _check_compiled(a: HlAutomaton, const_regs: set) -> None:
     for t in a.transitions:
         if not 1 <= len(t.labels) <= 2:
             raise StructureError("internal: compiled label length outside 1..2")

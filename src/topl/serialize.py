@@ -13,7 +13,10 @@ guards as {"kind": "eq"|"neq", "reg": i, "pos": j} | {"kind": "true"} |
 {"kind": "and", "left": G, "right": G} |
 {"kind": "method", "pos": j, "event": "call"|"ret", "patterns": [...],
  "negated": false}; actions as [{"reg": i, "pos": j}, ...].
-Compiled properties bundle {"automaton": ..., "events": ...}.
+Compiled properties bundle {"automaton": ..., "events": {"arity": n,
+"width": n+2, "variables": {name: register, ...}}}.  The literal values
+a property compares against sit in the automaton's store; an "events"
+key "constants" written by earlier versions is ignored.
 Serialization is deterministic (sorted keys, stable ordering).
 """
 
@@ -218,7 +221,6 @@ def schema_to_json(schema: EventSchema) -> dict:
         "arity": schema.arity,
         "width": schema.width,
         "variables": {name: reg for name, reg in schema.variables},
-        "constants": [{"register": reg, "value": value_to_json(v)} for reg, v in schema.constants],
     }
 
 
@@ -226,12 +228,11 @@ def schema_from_json(obj) -> EventSchema:
     try:
         arity = obj["arity"]
         variables = tuple(sorted(obj["variables"].items(), key=lambda kv: kv[1]))
-        constants = tuple((c["register"], value_from_json(c["value"])) for c in obj["constants"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise StructureError(f"bad events JSON: {exc}") from None
     if not isinstance(arity, int) or arity < 0:
         raise StructureError(f"bad events JSON: arity must be a count, got {arity!r}")
-    return EventSchema(arity=arity, variables=variables, constants=constants)
+    return EventSchema(arity=arity, variables=variables)
 
 
 def bundle_to_json(automaton: HlAutomaton, schema: EventSchema) -> dict:

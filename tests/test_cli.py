@@ -51,7 +51,8 @@ def test_compile_writes_bundle(taint_files, tmp_path, capsys):
     assert main(["compile", str(prop), "-o", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert set(obj) == {"automaton", "events"}
-    assert obj["events"]["arity"] == 2
+    assert obj["events"] == {"arity": 2, "width": 4, "variables": {"x": 1}}
+    assert obj["automaton"]["registers"] == 1  # event ids take no register
 
 
 def test_check_property_finds_violation(taint_files, capsys):
@@ -73,6 +74,32 @@ def test_check_compiled_bundle_json_format(taint_files, tmp_path, capsys):
     assert code == 3
     assert [v["event"] for v in payload["verdicts"]] == [3]
     assert payload["stats"]["events"] == 3
+
+
+def test_bundle_of_the_previous_layout_still_loads(taint_files, tmp_path, capsys):
+    """Bundles of the previous layout preload one register per event id
+    the property names and list them under `events.constants`.  They
+    check a trace exactly as the current bundle does."""
+    prop, trace = taint_files
+    new = tmp_path / "new.json"
+    main(["compile", str(prop), "-o", str(new)])
+    obj = json.loads(new.read_text())
+    event_ids = [{"event": {"kind": kind, "method": method}} for kind, method in (
+        ("call", "getParameter"), ("ret", "getParameter"), ("call", "concat"), ("ret", "concat"),
+        ("call", "executeQuery"))]
+    first = obj["automaton"]["registers"] + 1
+    obj["automaton"]["registers"] += len(event_ids)
+    obj["automaton"]["store"] += event_ids
+    obj["events"]["constants"] = [{"register": reg, "value": v} for reg, v in enumerate(event_ids, start=first)]
+    old = tmp_path / "old.json"
+    old.write_text(dumps(obj))
+    capsys.readouterr()
+    outputs = []
+    for bundle in (new, old):
+        code = main(["check", "--automaton", str(bundle), "--trace", str(trace), "--format", "json", "--report-path"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 3 and '"path"' in outputs[0][1] and '"peak_active"' in outputs[0][1]
 
 
 def test_check_clean_trace_exits_zero(taint_files, tmp_path, capsys):
@@ -168,12 +195,18 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
         assert main(argv) == 2, argv  # a directory
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err, argv
+    automaton = automaton_to_json(three_letter_automaton())
+    aut = tmp_path / "topl1.json"
+    aut.write_text(dumps(automaton))
+    for out in (tmp_path, tmp_path / "nonexistent" / "x.json"):  # unwritable output paths
+        for argv in (["compile", str(good), "-o", str(out)], ["translate", str(aut), "--to", "ra", "-o", str(out)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {out}: ") and "Traceback" not in err, argv
     trace = tmp_path / "t.jsonl"
     trace.write_text(TAINT_TRACE)
-    automaton = automaton_to_json(three_letter_automaton())
-    schema = {"arity": 1, "variables": {}, "constants": []}
-    for events in ({}, dict(schema, variables=[]), dict(schema, constants=[{"register": 1}]),
-                   dict(schema, arity="1"), 3):
+    schema = {"arity": 1, "variables": {}}
+    for events in ({}, dict(schema, variables=[]), dict(schema, arity="1"), 3):
         bundle = tmp_path / "bundle.json"
         bundle.write_text(dumps({"automaton": automaton, "events": events}))
         assert main(["check", "--automaton", str(bundle), "--trace", str(trace)]) == 2, events
@@ -229,7 +262,7 @@ def _loading_commands(tmp_path, field, broken):
     trace = tmp_path / "t.jsonl"
     trace.write_text(TAINT_TRACE)
     bundle = tmp_path / "bundle.json"
-    bundle.write_text(dumps({"automaton": obj, "events": {"arity": 1, "variables": {}, "constants": []}}))
+    bundle.write_text(dumps({"automaton": obj, "events": {"arity": 1, "variables": {}}}))
     return (
         ["member", str(aut), "--word", '[["1"]]'],
         ["translate", str(aut), "--to", "ra"],

@@ -77,7 +77,7 @@ REOPEN_TRACE = "".join(json.dumps(e) + "\n" for e in (
 
 
 def _schema5() -> EventSchema:
-    return EventSchema(arity=5, variables=(), constants=())
+    return EventSchema(arity=5, variables=())
 
 
 class TestEncodeEvent:
@@ -92,16 +92,16 @@ class TestEncodeEvent:
         assert got == (EventId("ret", "m"), r, BOTTOM, BOTTOM, BOTTOM, BOTTOM, BOTTOM)
 
     def test_zero_arity(self):
-        got = encode_event(Event("call", "m", ()), EventSchema(arity=0, variables=(), constants=()))
+        got = encode_event(Event("call", "m", ()), EventSchema(arity=0, variables=()))
         assert got == (EventId("call", "m"), BOTTOM)
 
     def test_void_return(self):
-        got = encode_event(Event("ret", "m", ()), EventSchema(arity=0, variables=(), constants=()))
+        got = encode_event(Event("ret", "m", ()), EventSchema(arity=0, variables=()))
         assert got == (EventId("ret", "m"), BOTTOM)
 
     def test_arity_overflow_is_a_hard_error(self):
         with pytest.raises(StructureError):
-            encode_event(Event("call", "m", (Atom("a"), Atom("b"))), EventSchema(arity=1, variables=(), constants=()))
+            encode_event(Event("call", "m", (Atom("a"), Atom("b"))), EventSchema(arity=1, variables=()))
 
 
 def _taint():

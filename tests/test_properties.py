@@ -2,7 +2,9 @@
 
 import pytest
 
-from topl.core import BOTTOM, Atom, EventId, MethodMatch, TRUE, validate_automaton
+from test_acceptance import TAINT_SANITIZED
+from test_monitor import HAS_NEXT, REOPEN, UNSAFE_ITERATOR
+from topl.core import BOTTOM, TRUE, Atom, Eq, EventId, MethodMatch, Neq, conjuncts, validate_automaton
 from topl.hl import hl_accepts
 from topl.properties import (
     ANY_ARGS,
@@ -35,6 +37,14 @@ property Taint
   tracking -> tracking: X := x.concat(*)
   tracking -> tracking: X := *.concat(x)
   tracking -> error:    *.executeQuery(x)
+"""
+
+LITERALS = """\
+property Literals
+  start -> start: *
+  start -> one:   F := *.open("config")
+  one -> two:     G := *.open("log")
+  two -> error:   f.write(g, "config")
 """
 
 
@@ -186,8 +196,6 @@ class TestCompile:
         aut, _ = compile_property(parse_property(TAINT))
         bind = next(t for t in aut.transitions if t.target == "tracking" and len(t.labels) == 2)
         guard = bind.labels[0][0]
-        from topl.core import conjuncts
-
         mm = [g for g in conjuncts(guard) if isinstance(g, MethodMatch)]
         assert mm and set(mm[0].patterns) == {
             "getParameter",
@@ -205,22 +213,29 @@ class TestCompile:
         assert not hl_accepts(aut, ())
 
     def test_constants_are_never_written(self):
-        aut, schema = compile_property(parse_property(TAINT))
-        const_regs = {reg for reg, _ in schema.constants}
+        aut, _ = compile_property(parse_property(LITERALS))
+        const_regs = {reg for reg, v in enumerate(aut.store, start=1) if v != BOTTOM}
+        assert const_regs
         for t in aut.transitions:
             for _, act in t.labels:
                 for asg in act:
                     assert asg.reg not in const_regs
 
     def test_constant_registers_preloaded(self):
-        aut, schema = compile_property(parse_property(TAINT))
-        values = dict((reg, v) for reg, v in schema.constants)
-        assert EventId("call", "getParameter") in values.values()
-        assert EventId("ret", "concat") in values.values()
-        for reg, v in schema.constants:
-            assert aut.store[reg - 1] == v
-        # variables start out as the dummy value
-        assert aut.store[schema.register_of("x") - 1] == BOTTOM
+        aut, schema = compile_property(parse_property(LITERALS))
+        assert not any(isinstance(v, EventId) for v in aut.store)
+        # variables first, starting out as the dummy value; then one
+        # register per distinct literal, holding it
+        assert [schema.register_of(v) for v in ("f", "g")] == [1, 2]
+        assert aut.store == (BOTTOM, BOTTOM, Atom("config"), Atom("log"))
+        literal_regs = {
+            atom.reg
+            for t in aut.transitions
+            for g, _ in t.labels
+            for atom in conjuncts(g)
+            if isinstance(atom, Eq) and atom.reg > 2
+        }
+        assert literal_regs == {3, 4}
 
     def test_label_lengths_one_or_two(self):
         aut, _ = compile_property(parse_property(TAINT))
@@ -229,10 +244,10 @@ class TestCompile:
         assert 2 in lengths  # the call-return labels
 
     def test_literal_patterns_use_constant_registers(self):
-        aut, schema = compile_property(
+        aut, _ = compile_property(
             parse_property('property P\nstart -> error: *.open("config")')
         )
-        assert any(v == Atom("config") for _, v in schema.constants)
+        assert aut.store == (Atom("config"),)
 
     def test_recompilation_is_identical(self):
         a1 = compile_property(parse_property(TAINT))
@@ -244,3 +259,19 @@ class TestCompile:
 
         with pytest.raises(StructureError):
             compile_property(parse_property("property P\nstart -> error: *.sink(x)"))
+
+
+@pytest.mark.parametrize("source, registers", [
+    (TAINT, 1), (TAINT_SANITIZED, 1), (UNSAFE_ITERATOR, 3), (HAS_NEXT, 1), (REOPEN, 1),
+], ids=["Taint", "TaintSanitized", "UnsafeIterator", "HasNext", "Reopen"])
+def test_every_compiled_register_is_read(source, registers):
+    aut, _ = compile_property(parse_property(source))
+    read = {
+        atom.reg
+        for t in aut.transitions
+        for g, _ in t.labels
+        for atom in conjuncts(g)
+        if isinstance(atom, (Eq, Neq))
+    }
+    assert aut.registers == registers
+    assert read == set(range(1, registers + 1))
