@@ -350,6 +350,45 @@ def coreachable(a) -> set:
     return live
 
 
+def live_registers(a) -> dict:
+    """Registers live at each state of an automaton of either flavour:
+    those some path of transitions reads (an `Eq` or `Neq` atom, in any
+    label step) before writing them.
+
+    Only transitions into co-reachable states count, and the keys are
+    exactly the co-reachable states: the value of a register dead at a
+    state never decides whether a run from there accepts.  For a
+    high-level automaton this counts the paths' own reads; whether a
+    skip may fire also depends on guards of transitions this leaves out.
+    """
+    co = coreachable(a)
+    live = {q: set() for q in co}
+    if not a.registers:
+        return live
+    into: dict = {}  # state -> (source, registers written) per transition into it
+    for t in a.transitions:
+        if t.target in co:
+            # A step's guard reads the store the earlier steps left; its
+            # action writes after it.
+            reads, writes = set(), set()
+            for g, act in t.labels:
+                for atom in conjuncts(g):
+                    if isinstance(atom, (Eq, Neq)) and atom.reg not in writes:
+                        reads.add(atom.reg)
+                writes.update(asg.reg for asg in act)
+            live[t.source] |= reads
+            into.setdefault(t.target, []).append((t.source, writes))
+    todo = list(co)
+    while todo:
+        q = todo.pop()
+        for p, writes in into.get(q, ()):
+            new = live[q] - writes - live[p]
+            if new:
+                live[p] |= new
+                todo.append(p)
+    return live
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -187,27 +187,25 @@ def automaton_from_json(obj):
             store=tuple(value_from_json(v) for v in obj["store"]),
             final=frozenset(obj["final"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"bad automaton JSON: {exc}") from None
-    if is_hl:
-        transitions = tuple(
-            HlTransition(
-                t["from"],
-                tuple((guard_from_json(l["guard"]), action_from_json(l["action"])) for l in t["labels"]),
-                t["to"],
+        if is_hl:
+            transitions = tuple(
+                HlTransition(
+                    t["from"],
+                    tuple((guard_from_json(l["guard"]), action_from_json(l["action"])) for l in t["labels"]),
+                    t["to"],
+                )
+                for t in raw_transitions
             )
-            for t in raw_transitions
-        )
-        automaton = HlAutomaton(transitions=transitions, **common)
-    else:
-        transitions = tuple(
-            Transition(t["from"], guard_from_json(t["guard"]), action_from_json(t["action"]), t["to"])
-            for t in raw_transitions
-        )
-        automaton = ToplAutomaton(transitions=transitions, **common)
-    try:
+            automaton = HlAutomaton(transitions=transitions, **common)
+        else:
+            transitions = tuple(
+                Transition(t["from"], guard_from_json(t["guard"]), action_from_json(t["action"]), t["to"])
+                for t in raw_transitions
+            )
+            automaton = ToplAutomaton(transitions=transitions, **common)
+        # A count, index or state name of the wrong JSON type fails here.
         require_valid(automaton)
-    except TypeError as exc:  # a count, index or state name of the wrong JSON type
+    except (KeyError, TypeError) as exc:
         raise StructureError(f"bad automaton JSON: {exc}") from None
     return automaton
 

@@ -6,14 +6,15 @@ Provides, over the core/hl modules:
   ``(fresh, set i)`` and ``(eq i, nop)``) and its validator;
 * ``topl_to_ra``: tuple letters unpacked to single values, registers
   doubled plus one, language preserved up to component flattening;
+  only co-reachable states and live registers are simulated, and every
+  output state can reach a final state unless the language is empty;
 * ``topl_to_hl``: one extra sink state and parallel negated transitions
   so that skips can never fire;
 * ``hl_to_topl``: queue simulation; letters are buffered in spare
   registers, transition label sequences are replayed statically over a
   repartition map recorded in the state;
-* emptiness with verified witnesses, cut at co-reachability before
-  each stage, and union / intersection / concatenation over
-  shared-arity automata.
+* emptiness with verified witnesses, and union / intersection /
+  concatenation over shared-arity automata.
 
 All constructions are deterministic: identical inputs give identical
 outputs, byte for byte after serialization.
@@ -22,6 +23,7 @@ outputs, byte for byte after serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, product as _cartesian, repeat
 
 from .core import (
@@ -42,6 +44,7 @@ from .core import (
     conjoin,
     conjuncts,
     coreachable,
+    live_registers,
     require_valid,
 )
 from .hl import HlAutomaton, HlTransition, hl_accepts
@@ -66,9 +69,20 @@ __all__ = [
 # Register automata
 # ---------------------------------------------------------------------------
 
-def _fresh_guard(m: int) -> Guard:
-    """neq 1 and ... and neq m: the letter differs from every register."""
-    return conjoin(Neq(i, 1) for i in range(1, m + 1))
+@lru_cache(maxsize=64)
+def _ra_labels(big_m: int) -> tuple:
+    """The label objects of a register automaton with `big_m` registers,
+    built once per count: the fresh guard (neq 1 and ... and neq big_m:
+    the letter differs from every register), its atoms, then the eq
+    guard and the store action of each register, indexed by register
+    (index 0 holds no guard and the no-op)."""
+    fresh_atoms = [Neq(i, 1) for i in range(1, big_m + 1)]
+    return (
+        conjoin(fresh_atoms),
+        frozenset(fresh_atoms),
+        (None,) + tuple(Eq(i, 1) for i in range(1, big_m + 1)),
+        (NOP,) + tuple((Assign(i, 1),) for i in range(1, big_m + 1)),
+    )
 
 
 def _label_shape(g: Guard, fresh_atoms: frozenset) -> str:
@@ -89,8 +103,8 @@ def register_automaton_diagnostics(a: ToplAutomaton) -> list:
     diags = []
     if a.arity != 1:
         diags.append(f"arity must be 1, got {a.arity}")
-    fresh_atoms = frozenset(Neq(i, 1) for i in range(1, a.registers + 1))
-    shapes: dict = {}  # each distinct guard object is classified once
+    fresh, fresh_atoms, _, _ = _ra_labels(a.registers)
+    shapes = {id(fresh): "fresh"} if fresh_atoms else {}  # each distinct guard is classified once
     for idx, t in enumerate(a.transitions):
         problem = shapes.get(id(t.guard))
         if problem is None:
@@ -249,50 +263,55 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
     stay injective and equality tests reduce to index comparisons.
     Locally fresh values that the source ignores are parked in a spare
     register (register automata must store what they cannot match).
+
+    Only the co-reachable part of `a` is translated, and a register dead
+    at a state (`core.live_registers`) is not simulated there: its entry
+    is 0, so states that differ only in stale cells are one.  The
+    language is unchanged, since neither a run leaving the co-reachable
+    part nor a dead register's value can decide acceptance.  Output
+    states from which guards leave no way to a final state are cut as
+    well, so every state can reach a final state, except the lone
+    initial state of an automaton whose language is empty.
     """
     _require_translatable(a)
     m, n = a.registers, a.arity
     big_m = 2 * m + 1
     every_reg = frozenset(range(1, big_m + 1))
+    live = live_registers(a)  # keys: the co-reachable states
+    fresh, _, eq_guard, store_into = _ra_labels(big_m)
 
-    # Initial repartition: one output register per distinct initial value.
-    r0, init_store = _initial_repartition(a.store, big_m, _pad_atoms(set(a.store)))
-
-    # The two label shapes: one guard and one action object per register.
-    fresh = _fresh_guard(big_m)
-    eq_guard = [None] + [Eq(i, 1) for i in range(1, big_m + 1)]
-    store_into = [NOP] + [(Assign(i, 1),) for i in range(1, big_m + 1)]
+    # Initial repartition: one output register per distinct initial value,
+    # none for a register dead at the initial state.
+    homes, init_store = _initial_repartition(a.store, big_m, _pad_atoms(set(a.store)))
+    live0 = live.get(a.initial, ())
+    r0 = tuple(c if i in live0 else 0 for i, c in enumerate(homes, 1))
 
     def main_id(q, rvec):
         return f"{q}|{_rvec_id(rvec)}"
 
-    # Per transition and component: guard/action index sets.
-    def guard_sets(t):
-        eq_sets = {j: set() for j in range(1, n + 1)}
-        neq_sets = {j: set() for j in range(1, n + 1)}
+    # Per transition into a co-reachable state: the registers its guard
+    # compares with each component j; the registers component j rebinds
+    # (their last assignment reads j) that are live at the target; and
+    # the registers dead at the target, unsimulated from the start.
+    leaving: dict = {}  # source state -> (index, target, eq sets, neq sets, rebinds, dead)
+    for ti, t in enumerate(a.transitions):
+        if t.target not in live:
+            continue
+        eq_sets = [set() for _ in range(n + 1)]
+        neq_sets = [set() for _ in range(n + 1)]
         for atom in conjuncts(t.guard):
             (eq_sets if isinstance(atom, Eq) else neq_sets)[atom.pos].add(atom.reg)
-        return eq_sets, neq_sets
-
-    def rebind_sets(t):
-        # Component j rebinds register i iff the last assignment to i
-        # among those reading components <= j reads component j itself.
-        rebinds = {j: set() for j in range(1, n + 1)}
-        for i in set(asg.reg for asg in t.action):
-            for j in range(1, n + 1):
-                last = None
-                for asg in t.action:
-                    if asg.reg == i and asg.pos <= j:
-                        last = asg.pos
-                if last == j:
-                    rebinds[j].add(i)
-        return rebinds
-
-    leaving: dict = {}  # source state -> its transitions, in order, with index and sets
-    for ti, t in enumerate(a.transitions):
-        leaving.setdefault(t.source, []).append((ti, t, guard_sets(t), rebind_sets(t)))
+        last = {asg.reg: asg.pos for asg in t.action}
+        target_live = live[t.target]
+        rebinds = [[] for _ in range(n + 1)]  # each in register order
+        for i, j in sorted(last.items()):
+            if i in target_live:
+                rebinds[j].append(i)
+        dead = [i for i in range(m) if i + 1 not in target_live]
+        leaving.setdefault(t.source, []).append((ti, t.target, eq_sets, neq_sets, rebinds, dead))
 
     transitions = []
+    contradicted = False  # some guard held of no letter under some repartition
     seen_edges = set()  # (source id, matched register or None, written register or 0, target id)
     states = set()
     final = set()
@@ -305,25 +324,35 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
         if q in a.final:
             final.add(sid)
         r0_image = set(rvec)
-        for ti, t, (eq_sets, neq_sets), rebinds in leaving.get(q, ()):
-            # Walk component paths; each entry: (current state id, r_j vector).
-            layer = [(sid, rvec)]
+        for ti, target, eq_sets, neq_sets, rebinds, dead in leaving.get(q, ()):
+            rj = rvec
+            if dead:
+                rj = list(rvec)
+                for i in dead:
+                    rj[i] = 0
+                rj = tuple(rj)
+            # Per component: the registers it may equal, None for fresh.
+            # A guard no letter satisfies under `rvec` adds nothing.
+            choices = []
             for j in range(1, n + 1):
                 c_eq = {rvec[i - 1] for i in eq_sets[j]}
                 c_neq = {rvec[i - 1] for i in neq_sets[j]}
                 if len(c_eq) >= 2 or (c_eq & c_neq):
-                    layer = []
+                    choices = ()
+                    contradicted = True
                     break
-                # The register the component equals, or None for fresh.
-                hits = list(c_eq) if c_eq else [None] + sorted(every_reg - c_neq)
-                rebind = sorted(rebinds[j])
+                choices.append(list(c_eq) if c_eq else [None] + sorted(every_reg - c_neq))
+            # Walk component paths; each entry: (current state id, r_j vector).
+            layer = [(sid, rj)]
+            for j, hits in enumerate(choices, 1):
+                rebind = rebinds[j]
                 next_layer = {}
                 for src_id, rj in layer:
                     for hit in hits:
                         written = 0
                         if rebind:
                             if hit is None:
-                                keep = {rj[i - 1] for i in range(1, m + 1) if i not in rebinds[j]}
+                                keep = {rj[i - 1] for i in range(1, m + 1) if i not in rebind}
                                 k = written = min(every_reg - r0_image - keep)
                             else:
                                 k = hit
@@ -336,13 +365,13 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
                                 written = min(every_reg - r0_image - set(rj))
                             rj2 = rj
                         if j == n:
-                            tgt_key = (t.target, rj2)
+                            tgt_key = (target, rj2)
                             tgt_id = main_ids.get(tgt_key)
                             if tgt_id is None:
                                 tgt_id = main_ids[tgt_key] = main_id(*tgt_key)
                                 queue.append(tgt_key)
                         else:
-                            tgt_id = f"{sid}>{t.target}#{ti}@{j}|{_rvec_id(rj2)}"
+                            tgt_id = f"{sid}>{target}#{ti}@{j}|{_rvec_id(rj2)}"
                             next_layer.setdefault((tgt_id, rj2), None)
                             states.add(tgt_id)
                         edge = (src_id, hit, written, tgt_id)
@@ -352,7 +381,7 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
                             transitions.append(Transition(src_id, guard, store_into[written], tgt_id))
                 layer = list(next_layer)
 
-    return RegisterAutomaton(
+    ra = RegisterAutomaton(
         arity=1,
         registers=big_m,
         states=frozenset(states),
@@ -361,6 +390,16 @@ def topl_to_ra(a: ToplAutomaton) -> RegisterAutomaton:
         transitions=tuple(transitions),
         final=frozenset(final),
     )
+    # Every transition of `a` into a co-reachable state has a path here
+    # from each state at its source, so every state follows a path of
+    # `a` to a final state, unless a guard contradicted itself: then cut
+    # the states with no path to a final state.
+    if not contradicted:
+        return ra
+    co = coreachable(ra)
+    if len(co) == len(ra.states):
+        return ra
+    return replace(ra, states=frozenset(co | {start}), transitions=tuple(t for t in transitions if t.target in co))
 
 
 # ---------------------------------------------------------------------------
@@ -913,34 +952,17 @@ def ra_emptiness(a: ToplAutomaton):
     return witness
 
 
-def _coreachable_part(a: ToplAutomaton):
-    """`a` without the states that cannot reach a final state and the
-    transitions into them; None when the initial state is one of them.
-
-    A dropped state only ever leads to dropped states, so the part has
-    the same runs to final states as `a`, hence the same language.
-    """
-    live = coreachable(a)
-    if a.initial not in live:
-        return None
-    if len(live) == len(a.states):
-        return a
-    return replace(
-        a, states=frozenset(live), transitions=tuple(t for t in a.transitions if t.target in live)
-    )
-
-
 def emptiness(a):
     """Emptiness for either automaton flavour; the witness (if any) is
     un-flattened back to the source arity and verified by replay.
 
-    Every structural check runs first.  Then each stage is cut at
-    co-reachability: the answer is "empty" at once when the initial
-    state cannot reach a final state in the transition graph (a skip
-    keeps the state, so this holds for high-level automata too), and
-    `topl_to_ra` only sees the co-reachable part of the low-level
-    automaton.  Dropped states lie on no path to a final state, so the
-    answers and witnesses are those of the uncut stages.
+    Every structural check runs first.  A high-level automaton whose
+    initial state cannot reach a final state in the transition graph is
+    answered "empty" at once (a skip keeps the state, so no run can
+    accept).  Otherwise the answer is `ra_emptiness(topl_to_ra(low))`
+    for the low-level form `low`; `topl_to_ra` cuts only what lies on
+    no path to a final state, so the answers and witnesses are those of
+    the whole automaton.
     """
     if isinstance(a, HlAutomaton):
         replays = hl_accepts
@@ -955,10 +977,7 @@ def emptiness(a):
         low = hl_to_topl(a)
     else:
         low = a
-    live = _coreachable_part(low)
-    if live is None:
-        return None
-    flat = ra_emptiness(topl_to_ra(live))
+    flat = ra_emptiness(topl_to_ra(low))
     if flat is None:
         return None
     word = unflatten(flat, low.arity)

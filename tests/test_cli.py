@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceMonitor, three_letter_automaton
+from helpers import ReferenceMonitor, random_hl, random_topl, three_letter_automaton
 from topl.cli import main
+from topl.core import coreachable
+from topl.hl import HlAutomaton
 from topl.monitor import TraceError, encode_event, parse_trace_line
-from topl.serialize import automaton_to_json, bundle_from_json, dumps
+from topl.serialize import automaton_from_json, automaton_to_json, bundle_from_json, dumps
 from topl.translate import topl_to_hl
 
 TAINT = """\
@@ -203,6 +205,15 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith(f"error: {out}: ") and "Traceback" not in err, argv
+    method = {"kind": "method", "pos": 1, "event": "call", "patterns": 3}
+    for transitions in ([[]], ["labels"], [{"from": "1", "labels": [3], "to": "2"}],
+                        [{"from": "1", "guard": method, "action": [], "to": "2"}]):
+        aut.write_text(dumps(dict(automaton, transitions=transitions)))
+        for argv in (["emptiness", str(aut)], ["translate", str(aut), "--to", "ra"]):
+            assert main(argv) == 2, (argv, transitions)
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad automaton JSON: ") and "Traceback" not in err, transitions
+    aut.write_text(dumps(automaton))
     trace = tmp_path / "t.jsonl"
     trace.write_text(TAINT_TRACE)
     schema = {"arity": 1, "variables": {}}
@@ -451,3 +462,70 @@ def test_fuzzed_trace_lines(tmp_path_factory, lines):
         assert code == 2 and err == f"error: {warnings[0]}\n"
     else:
         assert code == (3 if verdicts else 0) and err == ""
+
+
+# -- automaton-file fuzzing ----------------------------------------------------
+
+# Small replacement values: a large arity or register count is a valid,
+# proportionally large input, not a malformed one.
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _automaton_text(draw):
+    """A random automaton of either flavour in its JSON form, then up to
+    two mutations: a node replaced, a key dropped, or the text cut."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        a = random_topl(seed)
+    else:
+        a = random_hl(seed, max_regs=1, max_label_len=2)
+    obj = automaton_to_json(a)
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = None, None
+        node = obj
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 2)):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_SMALL_JSON)
+    text = dumps(obj)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=_automaton_text())
+def test_fuzzed_translate_and_emptiness_inputs(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    aut, out = work / "a.json", work / "ra.json"
+    aut.write_text(text)
+
+    ra = None
+    code, _, err = _run_main(["translate", str(aut), "--to", "ra", "-o", str(out)])
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    if code == 0:
+        source = automaton_from_json(json.loads(text))
+        m = source.registers
+        if isinstance(source, HlAutomaton):
+            m += (source.max_label_length - 1) * source.arity
+        ra = automaton_from_json(json.loads(out.read_text()))
+        assert ra.registers == 2 * m + 1
+        live = coreachable(ra)
+        # Every state can reach a final state, but for the lone initial
+        # state of an empty language.
+        assert set(ra.states) == live or (ra.states == {ra.initial} and not ra.transitions)
+
+    code, stdout, err = _run_main(["emptiness", str(aut), "--format", "json"])
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    if code == 0 and ra is not None:
+        assert json.loads(stdout)["empty"] == (ra.initial not in live)

@@ -35,10 +35,12 @@ from topl.core import (
     conjuncts,
     coreachable,
     eval_guard,
+    live_registers,
     require_valid,
     step,
     validate_automaton,
 )
+from topl.hl import HlAutomaton, HlTransition
 
 
 class TestValues:
@@ -277,3 +279,41 @@ def test_coreachable_ignores_guards(lift):
         arity=1, registers=2, states=a.states, initial="1", store=t3.store,
         transitions=a.transitions, final=frozenset(),
     ))) == set()
+
+
+@pytest.mark.parametrize("lift", [lambda a: a, as_hl])
+def test_live_registers_read_before_written(lift):
+    # 1 -(set 1)-> 2 -(set 2)-> 3 -(neq 1 and neq 2)-> 4: state 3 reads
+    # both registers, and each is dead before the transition writing it.
+    assert live_registers(lift(three_letter_automaton())) == {"1": set(), "2": {1}, "3": {1, 2}, "4": set()}
+
+
+@pytest.mark.parametrize("lift", [lambda a: a, as_hl])
+def test_live_registers_ignore_transitions_into_dead_states(lift):
+    # The only read of register 2 at state 2 leads to a state that
+    # cannot reach a final state, which has no entry.
+    t3 = three_letter_automaton()
+    a = ToplAutomaton(
+        arity=1, registers=2, states=t3.states | {"5"}, initial="1", store=t3.store,
+        transitions=t3.transitions + (Transition("2", Eq(2, 1), NOP, "5"),), final=t3.final,
+    )
+    assert live_registers(lift(a)) == {"1": set(), "2": {1}, "3": {1, 2}, "4": set()}
+    b = ToplAutomaton(
+        arity=1, registers=2, states=a.states, initial="1", store=t3.store,
+        transitions=a.transitions, final=t3.final | {"5"},
+    )
+    assert live_registers(lift(b)) == {"1": {2}, "2": {1, 2}, "3": {1, 2}, "4": set(), "5": set()}
+
+
+def test_live_registers_follow_label_steps():
+    # s -> f assigns register 1 in step 1 and reads registers 1 and 2 in
+    # step 2; f's loop reads register 1 in the step that writes it.
+    a = HlAutomaton(
+        arity=1, registers=2, states=frozenset({"s", "f"}), initial="s", store=(BOTTOM, BOTTOM),
+        transitions=(
+            HlTransition("s", ((TRUE, (Assign(1, 1),)), (And(Eq(1, 1), Eq(2, 1)), NOP)), "f"),
+            HlTransition("f", ((Eq(1, 1), (Assign(1, 1),)),), "f"),
+        ),
+        final=frozenset({"f"}),
+    )
+    assert live_registers(a) == {"s": {2}, "f": {1}}

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -102,7 +103,51 @@ class TestToplToRa:
             arity=1, registers=2, states=t3.states, initial=t3.initial, store=t3.store,
             transitions=t3.transitions, final=frozenset(),
         )
-        assert ra_emptiness(topl_to_ra(dead)) is None
+        ra = topl_to_ra(dead)
+        assert (len(ra.states), ra.transitions, ra.final) == (1, (), frozenset())
+        assert ra.registers == 5
+        assert ra_emptiness(ra) is None
+        assert emptiness(dead) is None
+
+    def test_dead_registers_are_not_simulated(self):
+        # Both registers are written before they are read, so the initial
+        # state simulates neither.
+        ra = topl_to_ra(three_letter_automaton())
+        assert ra.initial == "1|0.0"
+        assert (len(ra.states), len(ra.transitions)) == (32, 141)
+
+    def test_every_state_is_co_reachable(self):
+        lone, cut = [], []
+        for seed in range(200):
+            a = random_topl(seed)
+            if a.initial not in coreachable(a):
+                cut.append(seed)
+            ra = topl_to_ra(a)
+            if set(ra.states) != coreachable(ra):
+                # Only the lone initial state of an empty language.
+                assert ra.states == {ra.initial} and not ra.transitions, seed
+                assert ra_emptiness(ra) is None, seed
+                lone.append(seed)
+        # Seed 188's initial state reaches a final state only through a
+        # guard that contradicts itself.
+        assert lone == sorted(cut + [188])
+
+    def test_cut_and_uncut_inputs_agree(self):
+        # Translating `a` or its co-reachable part gives register automata
+        # of the same size and the same emptiness witness.
+        cut_any = False
+        for seed in range(200):
+            a = random_topl(seed)
+            live = coreachable(a)
+            if a.initial not in live or len(live) == len(a.states):
+                continue
+            cut_any = True
+            part = replace(a, states=frozenset(live), transitions=tuple(t for t in a.transitions if t.target in live))
+            ra, ra_part = topl_to_ra(a), topl_to_ra(part)
+            sizes = [(len(r.states), len(r.transitions), len(r.final)) for r in (ra, ra_part)]
+            assert sizes[0] == sizes[1], seed
+            assert ra_emptiness(ra) == ra_emptiness(ra_part), seed
+        assert cut_any
 
     def test_list_cycle_cross_simulation(self):
         lc = list_cycle_automaton()
@@ -361,7 +406,7 @@ class TestEmptiness:
 
     def test_loaded_automaton_is_validated_once(self, monkeypatch):
         # Loading validates; `emptiness` and `hl_to_topl` find the recorded
-        # success.  Only `hl_to_topl`'s cut output, a new automaton, is
+        # success.  Only `hl_to_topl`'s output, a new automaton, is
         # validated again.
         checked = []
         real = core.validate_automaton
@@ -490,8 +535,9 @@ class TestClosures:
 
 
 # sha256 of the serialized `topl_to_ra(random_topl(seed))` for seeds
-# 0-99, one per line: pins the bytes `translate --to ra` writes.
-TOPL_TO_RA_SHA256 = "27fa6c43e6a3ae1922cb3d9917a764b09f73eb0f6a3e54d79c5f00456ba61346"
+# 0-99, one per line: pins the bytes `translate --to ra` writes.  Their
+# register automata have 573 states and 2,065 transitions in all.
+TOPL_TO_RA_SHA256 = "3e06f34b8b0a5a208925a342ba44de28b385bc172ab27782f46f5676a1db9789"
 
 
 class TestDeterminism:
