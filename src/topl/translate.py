@@ -13,8 +13,11 @@ Provides, over the core/hl modules:
 * ``hl_to_topl``: queue simulation; letters are buffered in spare
   registers, transition label sequences are replayed statically over a
   repartition map recorded in the state;
-* emptiness with verified witnesses, and union / intersection /
-  concatenation over shared-arity automata.
+* emptiness with verified witnesses: the empty word is answered before
+  any translation, and a high-level automaton is decided on the
+  automaton with one transition per label step (a shortest accepted
+  word needs no skip), so `hl_to_topl` buffers no letter for it;
+* union / intersection / concatenation over shared-arity automata.
 
 All constructions are deterministic: identical inputs give identical
 outputs, byte for byte after serialization.
@@ -952,17 +955,57 @@ def ra_emptiness(a: ToplAutomaton):
     return witness
 
 
+def _split(a: HlAutomaton) -> HlAutomaton:
+    """`a` with each label step on a transition of its own: a transition
+    with a d-step label becomes a chain through d-1 fresh, non-final
+    intermediate states.  `a` itself when every label has one step.
+
+    Without skips, the two have the same runs from the initial state to
+    a final state, since an intermediate state is neither final nor
+    left but along its chain.  Deleting the skipped letters of an
+    accepting run leaves an accepting run, so a shortest accepted word
+    of either has a run without skips: the two have the same shortest
+    accepted words, though their languages differ.  Every step, index
+    and state of `a` is copied, so the split inherits `a`'s recorded
+    structural checks.
+    """
+    if a.max_label_length == 1:
+        return a
+    tag = "~"  # no state of `a` starts with it, so no generated name clashes
+    while any(q.startswith(tag) for q in a.states):
+        tag += "~"
+    states = set(a.states)
+    transitions = []
+    for ti, t in enumerate(a.transitions):
+        source = t.source
+        for j, step in enumerate(t.labels[:-1], 1):
+            mid = f"{tag}{ti}.{j}"
+            states.add(mid)
+            transitions.append(HlTransition(source, (step,), mid))
+            source = mid
+        transitions.append(HlTransition(source, t.labels[-1:], t.target))
+    b = replace(a, states=frozenset(states), transitions=tuple(transitions))
+    for checked in ("_valid", "_translatable"):
+        if checked in a.__dict__:
+            b.__dict__[checked] = True
+    return b
+
+
 def emptiness(a):
     """Emptiness for either automaton flavour; the witness (if any) is
     un-flattened back to the source arity and verified by replay.
 
-    Every structural check runs first.  A high-level automaton whose
-    initial state cannot reach a final state in the transition graph is
-    answered "empty" at once (a skip keeps the state, so no run can
-    accept).  Otherwise the answer is `ra_emptiness(topl_to_ra(low))`
-    for the low-level form `low`; `topl_to_ra` cuts only what lies on
-    no path to a final state, so the answers and witnesses are those of
-    the whole automaton.
+    Every structural check runs first.  Then an automaton whose initial
+    state is final is answered with the empty word, and a high-level
+    automaton whose initial state cannot reach a final state in the
+    transition graph is answered "empty" (a skip keeps the state, so no
+    run can accept), both before any translation.  Otherwise the answer
+    is `ra_emptiness(topl_to_ra(low))`, where `low` is `a` itself or
+    `hl_to_topl(_split(a))` for a high-level `a`.  `topl_to_ra` cuts
+    only what lies on no path to a final state, and the split keeps the
+    shortest accepted words, so the answers and witness lengths are
+    those of the whole automaton; a witness may differ from the uncut
+    stages' on `a`, and is replayed on `a` all the same.
     """
     if isinstance(a, HlAutomaton):
         replays = hl_accepts
@@ -971,16 +1014,16 @@ def emptiness(a):
     else:
         raise StructureError(f"unsupported automaton type {type(a).__name__}")
     _require_translatable(a)
-    if isinstance(a, HlAutomaton):
-        if a.initial not in coreachable(a):
-            return None
-        low = hl_to_topl(a)
-    else:
-        low = a
-    flat = ra_emptiness(topl_to_ra(low))
-    if flat is None:
+    if a.initial in a.final:
+        word = ()
+    elif isinstance(a, HlAutomaton) and a.initial not in coreachable(a):
         return None
-    word = unflatten(flat, low.arity)
+    else:
+        low = hl_to_topl(_split(a)) if isinstance(a, HlAutomaton) else a
+        flat = ra_emptiness(topl_to_ra(low))
+        if flat is None:
+            return None
+        word = unflatten(flat, a.arity)
     if not replays(a, word):
         raise StructureError("internal: witness does not replay on the source automaton")
     return word

@@ -355,11 +355,13 @@ def random_ra(seed: int, max_states: int = 5, max_regs: int = 3):
 # ---------------------------------------------------------------------------
 
 def reference_emptiness(a):
-    """Emptiness by the three stages alone, without `emptiness`'s check
-    of the high-level initial state: the answer `topl.translate.emptiness`
-    must keep.  `topl_to_ra` itself translates only the co-reachable
-    part of its input, which gives the same answers and witnesses as
-    the whole input (`test_cut_and_uncut_inputs_agree`)."""
+    """Emptiness by the three uncut stages on `a` itself: no check of
+    the initial state and no split of the labels.
+    `topl.translate.emptiness` must give the same answer and, when the
+    language is not empty, a witness of the same length; the witness
+    itself may differ.  `topl_to_ra` itself translates only the
+    co-reachable part of its input, which gives the same answers and
+    witnesses as the whole input (`test_cut_and_uncut_inputs_agree`)."""
     from topl.translate import hl_to_topl, ra_emptiness, topl_to_ra, unflatten
 
     low = hl_to_topl(a) if isinstance(a, HlAutomaton) else a

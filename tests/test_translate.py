@@ -12,6 +12,7 @@ from helpers import (
     all_words,
     as_hl,
     atoms,
+    brute_hl_accepts,
     language,
     list_cycle_automaton,
     random_hl,
@@ -36,13 +37,15 @@ from topl.core import (
     Transition,
     accepts,
     coreachable,
+    validate_automaton,
 )
-from topl import core
+from topl import core, translate
 from topl.cli import main
 from topl.hl import HlAutomaton, HlTransition, hl_accepts
 from topl.serialize import automaton_from_json, automaton_to_json, dumps
 from topl.translate import (
     RegisterAutomaton,
+    _split,
     concat,
     emptiness,
     flatten,
@@ -454,6 +457,130 @@ class TestEmptiness:
         assert out_of_range.initial not in coreachable(out_of_range)
         with pytest.raises(StructureError, match=r"register index out of range \(3 not in 1..1\)"):
             emptiness(out_of_range)
+
+    def test_initial_final_is_answered_before_any_stage(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a stage ran")
+
+        for name in ("hl_to_topl", "topl_to_ra", "ra_emptiness"):
+            monkeypatch.setattr(translate, name, forbidden)
+        hl = replace(ab_example(), final=frozenset({"1", "3"}))
+        low = replace(list_cycle_automaton(), final=frozenset({"q0"}))
+        for a in (hl, low):
+            assert emptiness(a) == ()
+
+    def test_initial_final_checks_come_first(self, tmp_path, capsys):
+        method = HlAutomaton(
+            arity=1, registers=0, states=frozenset({"a"}), initial="a", store=(),
+            transitions=(HlTransition("a", ((MethodMatch(1, "call", ("m",)), NOP),), "a"),),
+            final=frozenset({"a"}),
+        )
+        with pytest.raises(StructureError, match="only eq/neq/true conjunctions are translatable"):
+            emptiness(method)
+        aut = tmp_path / "method.json"
+        aut.write_text(dumps(automaton_to_json(method)))
+        assert main(["emptiness", str(aut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_each_stage_runs_once(self, monkeypatch):
+        # The benchmark's tracer wraps exactly these module attributes.
+        a = ab_example()
+        assert a.initial in coreachable(a) and a.initial not in a.final
+        calls = {}
+        for name in ("hl_to_topl", "topl_to_ra", "ra_emptiness"):
+            def counted(x, name=name, real=getattr(translate, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return real(x)
+
+            monkeypatch.setattr(translate, name, counted)
+        assert emptiness(a) is not None
+        assert calls == {"hl_to_topl": 1, "topl_to_ra": 1, "ra_emptiness": 1}
+
+    def test_shortest_witnesses_on_random_hl(self):
+        # One register keeps the uncut stages quick: at two registers and
+        # three-letter labels they take up to a minute on one automaton.
+        families = [random_hl(seed, max_regs=1, max_arity=1, max_label_len=3) for seed in range(300)]
+        families += [random_hl(seed, max_regs=1, max_arity=2, max_label_len=2) for seed in range(300)]
+        universe = UNIVERSE + atoms("x")
+        empty = split_words = 0
+        for i, a in enumerate(families):
+            got, want = emptiness(a), reference_emptiness(a)
+            assert (got is None) == (want is None), i
+            if got is None:
+                empty += 1
+                continue
+            split_words += bool(got) and a.max_label_length > 1
+            assert len(got) == len(want) and hl_accepts(a, got), i
+            if 0 < len(got) <= (3 if a.arity == 1 else 2):
+                assert brute_hl_accepts(a, got), i
+                shorter = all_words(universe if a.arity == 1 else UNIVERSE, a.arity, len(got) - 1)
+                assert not any(brute_hl_accepts(a, w) for w in shorter), i
+        # Both answers occur, and dozens of non-empty witnesses come from
+        # automata that were split.
+        assert empty > 100 and split_words > 30
+
+    def test_split_witness_may_differ_from_the_uncut_stages(self):
+        # An `emptiness-d2` corpus automaton (seed 3, #579): both witnesses
+        # are shortest and replay, but they are not the same word.
+        a = automaton_from_json({
+            "arity": 1, "final": ["s0"], "initial": "s1", "registers": 1, "states": ["s0", "s1"],
+            "store": [{"atom": "b"}],
+            "transitions": [
+                {"from": "s0", "to": "s1", "labels": [{"action": [], "guard": {
+                    "kind": "and", "left": {"kind": "eq", "pos": 1, "reg": 1},
+                    "right": {"kind": "neq", "pos": 1, "reg": 1}}}]},
+                {"from": "s1", "to": "s0", "labels": [
+                    {"action": [{"pos": 1, "reg": 1}], "guard": {"kind": "eq", "pos": 1, "reg": 1}}]},
+                {"from": "s0", "to": "s1", "labels": [
+                    {"action": [{"pos": 1, "reg": 1}, {"pos": 1, "reg": 1}],
+                     "guard": {"kind": "neq", "pos": 1, "reg": 1}},
+                    {"action": [{"pos": 1, "reg": 1}], "guard": {"kind": "true"}}]},
+                {"from": "s1", "to": "s0", "labels": [
+                    {"action": [{"pos": 1, "reg": 1}, {"pos": 1, "reg": 1}], "guard": {"kind": "true"}}]},
+            ],
+        })
+        got, uncut = emptiness(a), reference_emptiness(a)
+        assert got == ((Atom("b"),),)
+        assert uncut == ((Atom("~w1"),),)
+        assert hl_accepts(a, got) and hl_accepts(a, uncut)
+
+
+class TestSplit:
+    def test_one_letter_labels_give_the_same_automaton(self):
+        a = random_hl(1, max_label_len=1)
+        assert _split(a) is a
+
+    def test_one_transition_per_label_step(self):
+        for seed in range(40):
+            a = random_hl(seed, max_arity=2, max_label_len=3)
+            b = _split(a)
+            assert b.max_label_length == 1
+            assert len(b.transitions) == sum(len(t.labels) for t in a.transitions), seed
+            assert [step for t in b.transitions for step in t.labels] == [
+                step for t in a.transitions for step in t.labels
+            ], seed
+            assert b.final == a.final and b.initial == a.initial and b.store == a.store
+            assert b.states >= a.states and len(b.states - a.states) == len(b.transitions) - len(a.transitions)
+            assert validate_automaton(b) == [], seed
+            assert hl_to_topl(b).registers == a.registers, seed
+
+    def test_intermediate_names_never_clash(self):
+        a = ab_example()
+        names = _split(a).states - a.states
+        assert len(names) == 2 and not names & a.final
+        # A state that already has a generated name pushes the names aside.
+        taken = replace(a, states=a.states | names)
+        fresh = _split(taken).states - taken.states
+        assert len(fresh) == 2 and not fresh & taken.states
+        assert emptiness(taken) == emptiness(a)
+
+    def test_recorded_checks_are_inherited(self):
+        a = ab_example()
+        assert "_valid" not in _split(a).__dict__  # nothing recorded, nothing inherited
+        translate._require_translatable(a)
+        b = _split(a)
+        assert b.__dict__.get("_valid") and b.__dict__.get("_translatable")
 
 
 def _single_letter_automaton(name="k"):
