@@ -166,7 +166,7 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         payload = {
             "verdicts": [
-                {"event": v.matched_at, **({"path": [list(s) for s in v.path]} if v.path is not None else {})}
+                {"event": v.matched_at, **({"path": v.path} if v.path is not None else {})}
                 for v in report.verdicts
             ],
             "stats": {

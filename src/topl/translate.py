@@ -159,7 +159,7 @@ def _require_translatable(a) -> None:
     """Raise unless `a`, of either flavour, is well formed and every guard
     is a conjunction of eq/neq atoms, the only guards translations read.
     A success is recorded on the instance, as `require_valid` records its
-    own."""
+    own; `serialize.automaton_from_json` records both as it loads."""
     if "_translatable" in a.__dict__:
         return
     require_valid(a)

@@ -31,6 +31,8 @@ from topl.core import (
     conjuncts,
     eval_guard,
 )
+from hypothesis import strategies as st
+
 from topl.hl import HlAutomaton, HlTransition, match_prefix
 from topl.monitor import MonitorOptions, Verdict
 
@@ -559,3 +561,95 @@ class ReferenceMonitor:
         if front > self._base:
             del self._letters[: front - self._base]
             self._base = front
+
+
+# ---------------------------------------------------------------------------
+# JSON inputs: the reference loader and mutated files
+# ---------------------------------------------------------------------------
+
+def reference_automaton_from_json(obj):
+    """The automaton loader as it was before it interned and checked in
+    one walk: build every field with the per-field loaders, then
+    `require_valid`.  `topl.serialize.automaton_from_json` must give an
+    equal automaton, or raise the same error with the same text."""
+    from topl.core import require_valid
+    from topl.serialize import action_from_json, guard_from_json, value_from_json
+
+    try:
+        raw_transitions = obj["transitions"]
+        is_hl = any("labels" in t for t in raw_transitions)
+        common = dict(
+            arity=obj["arity"],
+            registers=obj["registers"],
+            states=frozenset(obj["states"]),
+            initial=obj["initial"],
+            store=tuple(value_from_json(v) for v in obj["store"]),
+            final=frozenset(obj["final"]),
+        )
+        if is_hl:
+            transitions = tuple(
+                HlTransition(
+                    t["from"],
+                    tuple((guard_from_json(l["guard"]), action_from_json(l["action"])) for l in t["labels"]),
+                    t["to"],
+                )
+                for t in raw_transitions
+            )
+            automaton = HlAutomaton(transitions=transitions, **common)
+        else:
+            transitions = tuple(
+                Transition(t["from"], guard_from_json(t["guard"]), action_from_json(t["action"]), t["to"])
+                for t in raw_transitions
+            )
+            automaton = ToplAutomaton(transitions=transitions, **common)
+        require_valid(automaton)
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"bad automaton JSON: {exc}") from None
+    return automaton
+
+
+# Small replacement values: a large arity or register count is a valid,
+# proportionally large input, not a malformed one.
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def mutated_text(draw, obj) -> str:
+    """The canonical text of `obj` after up to two mutations, a node
+    replaced or a key dropped, and, one time in ten, cut short.  `obj`
+    is changed in place."""
+    from topl.serialize import dumps
+
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = None, None
+        node = obj
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 2)):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(SMALL_JSON)
+    text = dumps(obj)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def automaton_text(draw):
+    """A random automaton of either flavour in its JSON form, after
+    `mutated_text`."""
+    from topl.serialize import automaton_to_json
+
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        a = random_topl(seed)
+    else:
+        a = random_hl(seed, max_regs=1, max_label_len=2)
+    return mutated_text(draw, automaton_to_json(a))

@@ -1,19 +1,23 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import contextlib
+import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceMonitor, random_hl, random_topl, three_letter_automaton
+from helpers import ReferenceMonitor, automaton_text, mutated_text, three_letter_automaton
+from topl import cli, serialize
 from topl.cli import main
 from topl.core import coreachable
 from topl.hl import HlAutomaton
 from topl.monitor import TraceError, encode_event, parse_trace_line
-from topl.serialize import automaton_from_json, automaton_to_json, bundle_from_json, dumps
+from topl.properties import compile_property, parse_property
+from topl.serialize import automaton_from_json, automaton_to_json, bundle_from_json, bundle_to_json, dumps
 from topl.translate import topl_to_hl
 
 TAINT = """\
@@ -466,45 +470,8 @@ def test_fuzzed_trace_lines(tmp_path_factory, lines):
 
 # -- automaton-file fuzzing ----------------------------------------------------
 
-# Small replacement values: a large arity or register count is a valid,
-# proportionally large input, not a malformed one.
-_SMALL_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-1, 4) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
-    max_leaves=5,
-)
-
-
-@st.composite
-def _automaton_text(draw):
-    """A random automaton of either flavour in its JSON form, then up to
-    two mutations: a node replaced, a key dropped, or the text cut."""
-    seed = draw(st.integers(0, 10_000))
-    if draw(st.booleans()):
-        a = random_topl(seed)
-    else:
-        a = random_hl(seed, max_regs=1, max_label_len=2)
-    obj = automaton_to_json(a)
-    for _ in range(draw(st.integers(0, 2))):
-        parent, key = None, None
-        node = obj
-        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 2)):
-            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-            parent, node = node, node[key]
-        if parent is None:
-            continue
-        if isinstance(parent, dict) and draw(st.booleans()):
-            del parent[key]
-        else:
-            parent[key] = draw(_SMALL_JSON)
-    text = dumps(obj)
-    if draw(st.integers(0, 9)) == 0:
-        text = text[:draw(st.integers(0, len(text)))]
-    return text
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(text=_automaton_text())
+@given(text=automaton_text())
 def test_fuzzed_translate_and_emptiness_inputs(tmp_path_factory, text):
     work = tmp_path_factory.mktemp("fuzz")
     aut, out = work / "a.json", work / "ra.json"
@@ -529,3 +496,139 @@ def test_fuzzed_translate_and_emptiness_inputs(tmp_path_factory, text):
     assert code in (0, 1, 2) and "Traceback" not in err, err
     if code == 0 and ra is not None:
         assert json.loads(stdout)["empty"] == (ra.initial not in live)
+
+
+# -- fuzzing the other input files ------------------------------------------------
+
+def _assert_clean_exit(code, err, succeeded):
+    """Exit `succeeded` with nothing on standard error, or exit 2 with
+    one `error:` line."""
+    if code in succeeded:
+        assert err == "", err
+    else:
+        assert code == 2, (code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+_WORD = [["1"], [None], [{"atom": "2"}], [{"bottom": True}], [{"event": {"kind": "call", "method": "m"}}]]
+
+
+@st.composite
+def _word_text(draw):
+    """A word for the one-letter-wide automaton, after `mutated_text`."""
+    return mutated_text(draw, json.loads(json.dumps(_WORD[:draw(st.integers(0, len(_WORD)))])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=automaton_text(), word=_word_text())
+def test_fuzzed_member_inputs(tmp_path_factory, text, word):
+    work = tmp_path_factory.mktemp("fuzz")
+    aut, fuzzed_word, good = work / "a.json", work / "w.json", work / "three.json"
+    aut.write_text(text)
+    fuzzed_word.write_text(word)
+    good.write_text(dumps(automaton_to_json(three_letter_automaton())))
+    for argv in (["member", str(aut), "--word-file", str(fuzzed_word)],
+                 ["member", str(aut), "--word", "[]"],
+                 ["member", str(good), "--word-file", str(fuzzed_word)]):
+        code, out, err = _run_main(argv)
+        _assert_clean_exit(code, err, (0,))
+        assert out in (("accept\n", "reject\n") if code == 0 else ("",)), argv
+
+
+@st.composite
+def _bundle_text(draw):
+    """The compiled Taint bundle, after `mutated_text`."""
+    automaton, schema = compile_property(parse_property(TAINT))
+    return mutated_text(draw, bundle_to_json(automaton, schema))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=_bundle_text())
+def test_fuzzed_check_bundle_inputs(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    bundle, trace = work / "taint.json", work / "t.jsonl"
+    bundle.write_text(text)
+    trace.write_text(TAINT_TRACE)
+    code, _, err = _run_main(["check", "--automaton", str(bundle), "--trace", str(trace), "--format", "json"])
+    _assert_clean_exit(code, err, (0, 3))
+
+
+_PROPERTY_TEXT = st.text(st.sampled_from('abxX*.:=-><()[],"_ \n\t') | st.characters(), max_size=6)
+
+
+@st.composite
+def _property_text(draw):
+    """The Taint property with up to three spans of up to 8 characters
+    replaced by short runs of property syntax or any character."""
+    text = TAINT
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(_PROPERTY_TEXT) + text[j:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=_property_text())
+def test_fuzzed_compile_inputs(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    prop, out = work / "p.topl", work / "p.json"
+    prop.write_text(text, encoding="utf-8", errors="surrogatepass")
+    code, _, err = _run_main(["compile", str(prop), "-o", str(out)])
+    _assert_clean_exit(code, err, (0,))
+    if code == 0:
+        bundle_from_json(json.loads(out.read_text()))
+
+
+# -- the canonical JSON form ----------------------------------------------------
+
+# SHA-256 of each output as `json.dumps(..., sort_keys=True, indent=2)`
+# wrote it; any writer must keep these bytes.
+CHECK_JSON_SHA256 = "d4275a904e4829370c77e934e49a8698f544c24f717c243c249f139b5adcbd29"
+COMPILE_SHA256 = "3e9946a9243936ff54d3ef6846af04321170a8f02adc339679a18ef0754a6e55"
+EMPTINESS_JSON_SHA256 = "db8ff596987ac572105e7c46a7ab0032b6c6f6382a27f35ae9a4cdfdbfd554cd"
+
+
+def test_json_outputs_are_pinned(taint_files, tmp_path):
+    prop, trace = taint_files
+    aut = tmp_path / "topl1.json"
+    aut.write_text(dumps(automaton_to_json(three_letter_automaton())))
+    for argv, exit_code, digest in (
+        (["check", "--property", str(prop), "--trace", str(trace), "--format", "json", "--report-path"],
+         3, CHECK_JSON_SHA256),
+        (["compile", str(prop)], 0, COMPILE_SHA256),
+        (["emptiness", str(aut), "--format", "json"], 0, EMPTINESS_JSON_SHA256),
+    ):
+        code, out, err = _run_main(argv)
+        assert (code, err) == (exit_code, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_writer_and_loader_are_looked_up_by_name(taint_files, tmp_path, monkeypatch):
+    """`bench/tracing.py` times the writer by patching `cli.dumps` and the
+    loader by patching `serialize.automaton_from_json`.  A command that
+    bound either somewhere else would time as zero there."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "dumps", counted("dumps", cli.dumps))
+    monkeypatch.setattr(serialize, "automaton_from_json", counted("load", serialize.automaton_from_json))
+    prop, trace = taint_files
+    taint = tmp_path / "taint.json"
+    assert main(["compile", str(prop), "-o", str(taint)]) == 0
+    # A bundle is the automaton file that `serialize` loads by name.
+    three = tmp_path / "three.json"
+    three.write_text(dumps({"automaton": automaton_to_json(three_letter_automaton()),
+                            "events": {"arity": 1, "variables": {}}}))
+    for argv in (["check", "--automaton", str(taint), "--trace", str(trace), "--format", "json"],
+                 ["emptiness", str(three), "--format", "json"],
+                 ["translate", str(three), "--to", "ra"]):
+        calls.clear()
+        code, _, err = _run_main(argv)
+        assert code in (0, 3) and err == "", argv
+        assert calls == {"dumps": 1, "load": 1}, argv

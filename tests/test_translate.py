@@ -408,9 +408,10 @@ class TestEmptiness:
         assert reference_emptiness(a) is None
 
     def test_loaded_automaton_is_validated_once(self, monkeypatch):
-        # Loading validates; `emptiness` and `hl_to_topl` find the recorded
-        # success.  Only `hl_to_topl`'s output, a new automaton, is
-        # validated again.
+        # Loading checks as it builds and records the success, so neither
+        # the load nor `emptiness` and `hl_to_topl` validate the loaded
+        # automaton.  Only `hl_to_topl`'s output, a new automaton, is
+        # validated.
         checked = []
         real = core.validate_automaton
 
@@ -420,8 +421,8 @@ class TestEmptiness:
 
         monkeypatch.setattr(core, "validate_automaton", counted)
         for seed in range(14):  # answers of both kinds, some cut before `hl_to_topl`
-            a = automaton_from_json(automaton_to_json(random_hl(seed)))
             del checked[:]
+            a = automaton_from_json(automaton_to_json(random_hl(seed)))
             emptiness(a)
             assert not any(b is a for b in checked), seed
             assert len(checked) <= 1, seed
