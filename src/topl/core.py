@@ -407,25 +407,39 @@ def _guard_diagnostics(g: Guard, m: int, n: int, where: str) -> Iterator[str]:
                 yield f"{where}: bad event kind {atom.kind!r}"
 
 
+def _action_diagnostics(act: tuple, m: int, n: int, where: str) -> Iterator[str]:
+    for asg in act:
+        if not 1 <= asg.reg <= m:
+            yield f"{where}: register index out of range ({asg.reg} not in 1..{m})"
+        if not 1 <= asg.pos <= n:
+            yield f"{where}: letter index out of range ({asg.pos} not in 1..{n})"
+
+
+def _header_diagnostics(a) -> Iterator[str]:
+    """What is wrong with the counts, states and store of `a`."""
+    if a.arity < 1:
+        yield f"arity must be >= 1, got {a.arity}"
+    if a.registers < 0:
+        yield f"register count must be >= 0, got {a.registers}"
+    if a.initial not in a.states:
+        yield f"initial state unknown ({a.initial!r} not in states)"
+    for q in sorted(a.final):
+        if q not in a.states:
+            yield f"final state unknown ({q!r} not in states)"
+    if len(a.store) != a.registers:
+        yield f"initial store has length {len(a.store)}, expected {a.registers}"
+
+
 def validate_automaton(a) -> list:
     """Every violated structural invariant of an automaton of either
     flavour, as human-readable diagnostics.
 
     A low-level transition is checked as the one-step label sequence
     its `labels` gives.  An empty list means the automaton is well formed.
+    `is_valid_from_parts` decides the same without the walk over the
+    transitions; a new rule here belongs there too.
     """
-    diags: list = []
-    if a.arity < 1:
-        diags.append(f"arity must be >= 1, got {a.arity}")
-    if a.registers < 0:
-        diags.append(f"register count must be >= 0, got {a.registers}")
-    if a.initial not in a.states:
-        diags.append(f"initial state unknown ({a.initial!r} not in states)")
-    for q in sorted(a.final):
-        if q not in a.states:
-            diags.append(f"final state unknown ({q!r} not in states)")
-    if len(a.store) != a.registers:
-        diags.append(f"initial store has length {len(a.store)}, expected {a.registers}")
+    diags = list(_header_diagnostics(a))
     for i, t in enumerate(a.transitions):
         where = f"transition {i} ({t.source}->{t.target})"
         if t.source not in a.states:
@@ -436,12 +450,34 @@ def validate_automaton(a) -> list:
             diags.append(f"{where}: empty label sequence")
         for g, act in t.labels:
             diags.extend(_guard_diagnostics(g, a.registers, a.arity, where))
-            for asg in act:
-                if not 1 <= asg.reg <= a.registers:
-                    diags.append(f"{where}: register index out of range ({asg.reg} not in 1..{a.registers})")
-                if not 1 <= asg.pos <= a.arity:
-                    diags.append(f"{where}: letter index out of range ({asg.pos} not in 1..{a.arity})")
+            diags.extend(_action_diagnostics(act, a.registers, a.arity, where))
     return diags
+
+
+def is_valid_from_parts(a, ends: Iterable, labelled: bool, bounds: Iterable) -> bool:
+    """Whether `validate_automaton(a)` finds nothing, decided from parts
+    collected while `a.transitions` were built, so without a walk over
+    them: `ends`, every source and target state; `labelled`, whether
+    every transition has a label step; `bounds`, for the guard and the
+    action of every label step, (lowest index, highest register index,
+    highest letter index) over its eq/neq atoms or assignments, with 1
+    and 0 when it has none.  Guards with atoms of any other kind have
+    more rules (`_guard_diagnostics`) and cannot be summarised so.
+
+    False also covers a check that raises; `validate_automaton` then
+    says what is wrong.  `serialize.automaton_from_json` decides with
+    this as it loads.
+    """
+    m, n = a.registers, a.arity
+    try:
+        return (
+            labelled
+            and a.states.issuperset(ends)
+            and not any(_header_diagnostics(a))
+            and all(low >= 1 and reg <= m and pos <= n for low, reg, pos in bounds)
+        )
+    except TypeError:  # a count or state name of the wrong type
+        return False
 
 
 def require_valid(a) -> None:

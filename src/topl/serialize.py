@@ -19,18 +19,18 @@ a property compares against sit in the automaton's store; an "events"
 key "constants" written by earlier versions is ignored.
 
 `automaton_from_json` builds and checks an automaton in one walk.
-Eq/neq guards, actions and whole transitions come from bounded intern
-caches keyed by their JSON fields, so equal pieces, within one automaton
-and across many, are built once and shared.  Only fields whose type is
-exactly `int` are interned: a JSON `true` equals 1, yet it loads as
-`Eq(True, 1)` as it always has.  Each interned transition carries its
-highest register and letter index, so the walk checks every index
-range, state name, store length and label as it goes, by the rules of
-`validate_automaton`.  When all of them hold, the automaton is recorded
-as valid and translatable, so no later `require_valid` or translation
-walks it again.  Anything else (a method guard, a field of another type,
-a check that fails) is built by the per-field loaders, and
-`require_valid` then reports every diagnostic in its usual order.
+Eq/neq guards and actions come from bounded intern caches keyed by their
+JSON fields, so equal pieces, within one automaton and across many, are
+built once and shared.  Only fields whose type is exactly `int` are
+interned: a JSON `true` equals 1, yet it loads as `Eq(True, 1)` as it
+always has.  Each interned piece carries its lowest and highest
+indices.  As it builds, the walk collects the state names, the index
+bounds of the distinct pieces, and whether every label is non-empty;
+`core.is_valid_from_parts` checks those by `validate_automaton`'s rules.
+When every piece was interned and the checks hold, the automaton is
+recorded as valid and translatable, so no later `require_valid` or
+translation walks it again.  Otherwise `require_valid` reports every
+diagnostic in its usual order.
 
 `dumps` writes the canonical text: exactly
 `json.dumps(obj, sort_keys=True, indent=2)` and a newline.
@@ -57,6 +57,7 @@ from .core import (
     Transition,
     TrueGuard,
     Value,
+    is_valid_from_parts,
     require_valid,
 )
 from .hl import HlAutomaton, HlTransition
@@ -123,6 +124,11 @@ def guard_to_json(g: Guard):
 
 
 def guard_from_json(obj) -> Guard:
+    key = _guard_key(obj)
+    if key is not None:
+        return _interned_guard(key)[0]
+    # A method guard, or one that cannot be interned: a field missing or
+    # of another type, a bad kind.
     kind = obj.get("kind") if isinstance(obj, dict) else None
     try:
         if kind == "true":
@@ -145,10 +151,82 @@ def action_to_json(a: tuple):
 
 
 def action_from_json(obj) -> tuple:
+    key = _action_key(obj)
+    if key is not None:
+        return _interned_action(key)[0]
     try:
         return tuple(Assign(item["reg"], item["pos"]) for item in obj)
     except (KeyError, TypeError) as exc:
         raise StructureError(f"bad action {obj!r}: {exc}") from None
+
+
+# Eq/neq guards and actions are interned: equal JSON forms, within one
+# automaton and across many, load as one shared object.  Keys hold only
+# indices whose type is exactly `int`, as a JSON `true` equals 1 yet
+# loads as `Eq(True, 1)`.
+
+def _guard_key(obj):
+    """A hashable key for the guard `obj` describes when it is a
+    conjunction of eq/neq atoms with int indices, else None."""
+    try:
+        kind = obj["kind"]
+        if kind == "eq" or kind == "neq":
+            reg, pos = obj["reg"], obj["pos"]
+            if type(reg) is int and type(pos) is int:
+                return (kind, reg, pos)
+        elif kind == "true":
+            return ("true",)
+        elif kind == "and":
+            left, right = _guard_key(obj["left"]), _guard_key(obj["right"])
+            if left and right:
+                return ("and", left, right)
+    except (KeyError, TypeError):  # not a dict, or a field missing
+        pass
+    return None
+
+
+def _action_key(obj):
+    """The (reg, pos) pairs of the action `obj` describes when every
+    index is an int, else None."""
+    if type(obj) is not list:
+        return None
+    key = []
+    try:
+        for item in obj:
+            reg, pos = item["reg"], item["pos"]
+            if type(reg) is not int or type(pos) is not int:
+                return None
+            key.append((reg, pos))
+    except (KeyError, TypeError):  # not a dict, or a field missing
+        return None
+    return tuple(key)
+
+
+def _guard_of(key) -> tuple:
+    """The guard of a key of `_guard_key` and its bounds for
+    `core.is_valid_from_parts`."""
+    kind = key[0]
+    if kind == "true":
+        return TRUE, (1, 0, 0)
+    if kind == "and":
+        (left, (llow, lreg, lpos)), (right, (rlow, rreg, rpos)) = _guard_of(key[1]), _guard_of(key[2])
+        return And(left, right), (min(llow, rlow), max(lreg, rreg), max(lpos, rpos))
+    _, reg, pos = key
+    return (Eq if kind == "eq" else Neq)(reg, pos), (min(reg, pos), reg, pos)
+
+
+# Whole guards are interned; the recursion above stays uncached, so a
+# nested conjunction takes one frame per level.
+_interned_guard = lru_cache(maxsize=1024)(_guard_of)
+
+
+@lru_cache(maxsize=1024)
+def _interned_action(key: tuple) -> tuple:
+    """The action of a key of `_action_key` and its bounds for
+    `core.is_valid_from_parts`."""
+    regs, poss = [reg for reg, _ in key], [pos for _, pos in key]
+    return tuple(Assign(reg, pos) for reg, pos in key), (min(regs + poss, default=1), max(regs, default=0),
+                                                         max(poss, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,115 +266,15 @@ def automaton_to_json(a) -> dict:
     return base
 
 
-def _guard_key(obj):
-    """A hashable key for the guard `obj` describes when it can be
-    interned, else None: a conjunction of eq/neq atoms, the only guards
-    translations read, whose every index is an int of at least 1."""
-    try:
-        kind = obj["kind"]
-        if kind == "eq" or kind == "neq":
-            reg, pos = obj["reg"], obj["pos"]
-            if type(reg) is int and type(pos) is int and reg > 0 and pos > 0:
-                return (kind, reg, pos)
-        elif kind == "true":
-            return ("true",)
-        elif kind == "and":
-            left, right = _guard_key(obj["left"]), _guard_key(obj["right"])
-            if left and right:
-                return ("and", left, right)
-    except (KeyError, TypeError):  # not a dict, or a field missing
-        pass
-    return None
-
-
-def _action_key(obj):
-    """The (reg, pos) pairs of the action `obj` describes when every
-    index is an int of at least 1, else None."""
-    if type(obj) is not list:
-        return None
-    key = []
-    try:
-        for item in obj:
-            reg, pos = item["reg"], item["pos"]
-            if not (type(reg) is int and type(pos) is int and reg > 0 and pos > 0):
-                return None
-            key.append((reg, pos))
-    except (KeyError, TypeError):  # not a dict, or a field missing
-        return None
-    return tuple(key)
-
-
-def _guard_of(key) -> tuple:
-    """(guard, highest register index, highest letter index) for a key
-    of `_guard_key`; 0 when none."""
-    kind = key[0]
-    if kind == "true":
-        return TRUE, 0, 0
-    if kind == "and":
-        left, lreg, lpos = _guard_of(key[1])
-        right, rreg, rpos = _guard_of(key[2])
-        return And(left, right), max(lreg, rreg), max(lpos, rpos)
-    return (Eq if kind == "eq" else Neq)(key[1], key[2]), key[1], key[2]
-
-
-# Whole guards are interned; the recursion above stays uncached, so a
-# nested conjunction takes one frame per level, as `guard_from_json` does.
-_interned_guard = lru_cache(maxsize=1024)(_guard_of)
-
-
-@lru_cache(maxsize=1024)
-def _interned_action(key: tuple) -> tuple:
-    return tuple(Assign(reg, pos) for reg, pos in key)
-
-
-def _step_keys(raw):
-    """The (guard key, action key) pairs of a JSON list of label steps
-    {"guard": G, "action": A}, or None as soon as a guard or action
-    cannot be interned.  Fields are read in the order in which building
-    the steps reads them, so the same one fails first."""
-    keys = []
-    for step in raw:
-        gkey = _guard_key(step["guard"])
-        akey = None if gkey is None else _action_key(step["action"])
-        if akey is None:
-            return None
-        keys.append((gkey, akey))
-    return tuple(keys)
-
-
-def _built_steps(raw) -> tuple:
-    """The label steps of `raw`, built one field at a time."""
-    return tuple((guard_from_json(step["guard"]), action_from_json(step["action"])) for step in raw)
-
-
-@lru_cache(maxsize=4096)
-def _interned_transition(source: str, keys: tuple, target: str, is_hl: bool) -> tuple:
-    """(transition, highest register index, highest letter index) for
-    the label steps of `_step_keys`; 0 when none.  A low-level
-    transition has one step."""
-    steps, top_reg, top_pos = [], 0, 0
-    for gkey, akey in keys:
-        guard, reg, pos = _interned_guard(gkey)
-        steps.append((guard, _interned_action(akey)))
-        top_reg = max(top_reg, reg, *(r for r, _ in akey))
-        top_pos = max(top_pos, pos, *(p for _, p in akey))
-    if is_hl:
-        transition = HlTransition(source, tuple(steps), target)
-    else:
-        transition = Transition(source, *steps[0], target)
-    return transition, top_reg, top_pos
-
-
 def automaton_from_json(obj):
     """Load either automaton flavour; transitions with "labels" make it
     high-level, "guard"/"action" low-level.
 
     The automaton is built and checked in one walk (see the module
     docstring).  What it builds must pass `require_valid`, so an index
-    out of range fails here, not when a run first reaches it.  When
-    every piece was interned and every check held, the automaton is
-    recorded as valid and as translatable: every guard is a conjunction
-    of eq/neq atoms.
+    out of range fails here, not when a run first reaches it.  A valid
+    automaton whose guards are all conjunctions of eq/neq atoms is also
+    recorded as translatable.
     """
     try:
         raw_transitions = obj["transitions"]
@@ -306,38 +284,38 @@ def automaton_from_json(obj):
         initial = obj["initial"]
         store = tuple(map(value_from_json, obj["store"]))
         final = frozenset(obj["final"])
-        # Once a check fails, `ok` stays False and the rest is only built.
-        ok = (type(arity) is int and arity > 0 and type(registers) is int and len(store) == registers
-              and type(initial) is str and initial in states
-              and all(type(q) is str and q in states for q in final))
+        # What `is_valid_from_parts` reads instead of the transitions; a
+        # None bound marks a guard or action that was not interned.
+        ends, bounds, labelled = [], set(), True
         transitions = []
         for t in raw_transitions:
             source = t["from"]
+            steps = []
             # A low-level transition is its own one label step.
-            raw = t["labels"] if is_hl else (t,)
-            keys = _step_keys(raw)
-            steps = _built_steps(raw) if keys is None else None  # raises what building raises
+            for step in t["labels"] if is_hl else (t,):
+                key = _guard_key(step["guard"])
+                guard, gbounds = (guard_from_json(step["guard"]), None) if key is None else _interned_guard(key)
+                key = _action_key(step["action"])
+                action, abounds = (action_from_json(step["action"]), None) if key is None else _interned_action(key)
+                bounds.add(gbounds)
+                bounds.add(abounds)
+                steps.append((guard, action))
             target = t["to"]
-            if steps is None and type(source) is str and type(target) is str:
-                transition, reg, pos = _interned_transition(source, keys, target, is_hl)
-                ok = (ok and keys != () and source in states and target in states
-                      and reg <= registers and pos <= arity)
-            else:  # left for `validate_automaton`
-                if steps is None:
-                    steps = _built_steps(raw)
-                transition = HlTransition(source, steps, target) if is_hl else Transition(source, *steps[0], target)
-                ok = False
-            transitions.append(transition)
+            ends += (source, target)
+            if is_hl:
+                labelled = labelled and steps != []
+                transitions.append(HlTransition(source, tuple(steps), target))
+            else:
+                transitions.append(Transition(source, *steps[0], target))
         automaton = (HlAutomaton if is_hl else ToplAutomaton)(
             arity=arity, registers=registers, states=states, initial=initial, store=store,
             transitions=tuple(transitions), final=final,
         )
-        if ok:
+        if None not in bounds and is_valid_from_parts(automaton, ends, labelled, bounds):
+            # Every guard was interned, so it is a conjunction of eq/neq atoms.
             automaton.__dict__["_valid"] = automaton.__dict__["_translatable"] = True
         else:
-            # `validate_automaton` gives every diagnostic; a count, index
-            # or state name of the wrong JSON type fails here.
-            require_valid(automaton)
+            require_valid(automaton)  # raises with every diagnostic
     except (KeyError, TypeError) as exc:
         raise StructureError(f"bad automaton JSON: {exc}") from None
     return automaton
@@ -431,49 +409,45 @@ def _layout(depth: int) -> tuple:
 
 
 def _write(o, chunks: list, depth: int) -> None:
-    """Append the canonical text of `o`, nested `depth` deep, to
-    `chunks`.  Strings and ints inside a container are written in its
-    loop, the commonest items, without a call."""
+    """Append the canonical text of `o`, nested `depth` deep, to `chunks`."""
     t = type(o)
-    if t is dict:
+    if t is str:
+        chunks.append(_encode_str(o))
+    elif t is int:
+        chunks.append(int.__repr__(o))
+    elif t is dict:
         if not o:
             chunks.append("{}")
             return
-        layout = _LAYOUT[depth] if depth < len(_LAYOUT) else _layout(depth)
-        sep, inner, mark = layout[1], depth + 1, len(chunks)
+        layout = _layout(depth)
+        sep, mark = layout[1], len(chunks)
         for key, item in sorted(o.items()):
             if type(key) is not str:  # json converts such keys to strings; let it write this object
                 del chunks[mark:]
                 chunks.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", layout[5]))
                 return
-            chunks.append(sep)
+            chunks += (sep, _encode_str(key), ": ")
             sep = layout[2]
-            chunks.append(_encode_str(key))
-            chunks.append(": ")
-            t = type(item)
-            if t is str:
-                chunks.append(_encode_str(item))
-            elif t is int:
-                chunks.append(int.__repr__(item))
-            else:
-                _write(item, chunks, inner)
+            _write(item, chunks, depth + 1)
         chunks.append(layout[4])
     elif t is list or t is tuple:
         if not o:
             chunks.append("[]")
             return
-        layout = _LAYOUT[depth] if depth < len(_LAYOUT) else _layout(depth)
-        sep, inner = layout[0], depth + 1
+        layout = _layout(depth)
+        sep = layout[0]
         for item in o:
             chunks.append(sep)
             sep = layout[2]
+            # The letters of a verdict path are lists of many strings and
+            # ints: write those here, without a call.
             t = type(item)
             if t is str:
                 chunks.append(_encode_str(item))
             elif t is int:
                 chunks.append(int.__repr__(item))
             else:
-                _write(item, chunks, inner)
+                _write(item, chunks, depth + 1)
         chunks.append(layout[3])
     elif o is True:
         chunks.append("true")
@@ -481,10 +455,6 @@ def _write(o, chunks: list, depth: int) -> None:
         chunks.append("false")
     elif o is None:
         chunks.append("null")
-    elif t is str:
-        chunks.append(_encode_str(o))
-    elif t is int:
-        chunks.append(int.__repr__(o))
     else:  # floats, subclasses and anything json rejects
         chunks.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", _layout(depth)[5]))
 

@@ -13,6 +13,8 @@ import random
 from collections import deque
 from itertools import product
 
+from hypothesis import strategies as st
+
 from topl.core import (
     BOTTOM,
     StructureError,
@@ -31,8 +33,6 @@ from topl.core import (
     conjuncts,
     eval_guard,
 )
-from hypothesis import strategies as st
-
 from topl.hl import HlAutomaton, HlTransition, match_prefix
 from topl.monitor import MonitorOptions, Verdict
 
@@ -567,13 +567,39 @@ class ReferenceMonitor:
 # JSON inputs: the reference loader and mutated files
 # ---------------------------------------------------------------------------
 
+def _reference_guard(obj):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    try:
+        if kind == "true":
+            return TRUE
+        if kind == "eq":
+            return Eq(obj["reg"], obj["pos"])
+        if kind == "neq":
+            return Neq(obj["reg"], obj["pos"])
+        if kind == "and":
+            return And(_reference_guard(obj["left"]), _reference_guard(obj["right"]))
+        if kind == "method":
+            return MethodMatch(obj["pos"], obj["event"], tuple(obj["patterns"]), obj.get("negated", False))
+    except KeyError as exc:
+        raise StructureError(f"bad guard {obj!r}: missing {exc}") from None
+    raise StructureError(f"bad guard {obj!r}")
+
+
+def _reference_action(obj):
+    try:
+        return tuple(Assign(item["reg"], item["pos"]) for item in obj)
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"bad action {obj!r}: {exc}") from None
+
+
 def reference_automaton_from_json(obj):
     """The automaton loader as it was before it interned and checked in
-    one walk: build every field with the per-field loaders, then
-    `require_valid`.  `topl.serialize.automaton_from_json` must give an
+    one walk: build every field, then `require_valid`.  Guards and
+    actions are built field by field as the per-field loaders did before
+    they interned.  `topl.serialize.automaton_from_json` must give an
     equal automaton, or raise the same error with the same text."""
     from topl.core import require_valid
-    from topl.serialize import action_from_json, guard_from_json, value_from_json
+    from topl.serialize import value_from_json
 
     try:
         raw_transitions = obj["transitions"]
@@ -590,7 +616,7 @@ def reference_automaton_from_json(obj):
             transitions = tuple(
                 HlTransition(
                     t["from"],
-                    tuple((guard_from_json(l["guard"]), action_from_json(l["action"])) for l in t["labels"]),
+                    tuple((_reference_guard(l["guard"]), _reference_action(l["action"])) for l in t["labels"]),
                     t["to"],
                 )
                 for t in raw_transitions
@@ -598,7 +624,7 @@ def reference_automaton_from_json(obj):
             automaton = HlAutomaton(transitions=transitions, **common)
         else:
             transitions = tuple(
-                Transition(t["from"], guard_from_json(t["guard"]), action_from_json(t["action"]), t["to"])
+                Transition(t["from"], _reference_guard(t["guard"]), _reference_action(t["action"]), t["to"])
                 for t in raw_transitions
             )
             automaton = ToplAutomaton(transitions=transitions, **common)

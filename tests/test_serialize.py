@@ -16,7 +16,19 @@ from helpers import (
     reference_automaton_from_json,
     three_letter_automaton,
 )
-from topl.core import BOTTOM, And, Atom, Eq, EventId, MethodMatch, Neq, StructureError, TRUE
+from topl.core import (
+    BOTTOM,
+    TRUE,
+    And,
+    Atom,
+    Eq,
+    EventId,
+    MethodMatch,
+    Neq,
+    StructureError,
+    conjuncts,
+    validate_automaton,
+)
 from topl.properties import compile_property, parse_property
 from topl.serialize import (
     automaton_from_json,
@@ -206,8 +218,8 @@ def _corruptions(obj):
             edits.append(lambda o, i=i, f=field, v=value: _steps(o, "guard")[i]["guard"].update({f: v}))
         edits.append(lambda o, i=i: _steps(o, "guard")[i]["guard"].pop("pos"))
     for i in range(len(_steps(obj, "action"))):
-        for field, value in (("reg", obj["registers"] + 1), ("pos", obj["arity"] + 1), ("pos", "1"),
-                             ("reg", True)):
+        for field, value in (("reg", obj["registers"] + 1), ("pos", obj["arity"] + 1), ("reg", 0), ("pos", 0),
+                             ("pos", "1"), ("reg", True)):
             edits.append(lambda o, i=i, f=field, v=value: _steps(o, "action")[i]["action"][0].update({f: v}))
         edits.append(lambda o, i=i: _steps(o, "action")[i]["action"][0].pop("reg"))
     if "labels" in obj["transitions"][0]:
@@ -227,6 +239,14 @@ class TestLoaderAgreesWithReference:
     def agree(obj):
         mine = _loaded(automaton_from_json, obj)
         assert mine == _loaded(reference_automaton_from_json, obj)
+        if mine[0] == "loads":
+            # What the loader records without `validate_automaton` holds.
+            a = mine[2]
+            if "_valid" in a.__dict__:
+                assert validate_automaton(a) == []
+            if "_translatable" in a.__dict__:
+                assert all(isinstance(atom, (Eq, Neq)) for t in a.transitions for g, _ in t.labels
+                           for atom in conjuncts(g))
         return mine
 
     @pytest.mark.parametrize("seed", range(40))
