@@ -30,10 +30,8 @@ from .core import (
 )
 from .hl import (
     HlAutomaton,
-    HlConfiguration,
     HlTransition,
     hl_accepts,
-    hl_successors,
     match_prefix,
 )
 from .monitor import (
@@ -74,8 +72,7 @@ __all__ = [
     "EventId", "MethodMatch", "Neq", "StructureError", "ToplAutomaton",
     "Transition", "accepts", "apply_action", "eval_guard", "step",
     "validate_automaton",
-    "HlAutomaton", "HlConfiguration", "HlTransition",
-    "hl_accepts", "hl_successors", "match_prefix",
+    "HlAutomaton", "HlTransition", "hl_accepts", "match_prefix",
     "Event", "Monitor", "MonitorOptions", "Report", "Verdict", "encode_event",
     "run_trace",
     "EventSchema", "PropertyAst", "check_well_formed", "compile_property",

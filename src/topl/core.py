@@ -247,10 +247,13 @@ class ToplAutomaton(_IndexedTransitions):
     final: frozenset
 
 
-@dataclass(frozen=True)
-class Configuration:
-    state: str
-    store: Store
+class Configuration(namedtuple("Configuration", "state store")):
+    """Where a run is: its current state and its register store.
+
+    A named pair, so it hashes and compares as fast as the tuple does.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

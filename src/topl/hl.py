@@ -1,20 +1,18 @@
 """High-level automata: transitions labelled with guard/action *sequences*.
 
 A transition with a length-d label consumes d consecutive letters.  When
-no transition's label matches a prefix of the pending word, exactly one
-letter is skipped (state and store unchanged).  Skipping is only allowed
-in that case, which is what lets these machines ignore irrelevant input
-without losing the matches they care about.
+no transition's label matches the letters from the current position on,
+exactly one letter is skipped (state and store unchanged).  Skipping is
+only allowed in that case, which is what lets these machines ignore
+irrelevant input without losing the matches they care about.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    Configuration,
     Letter,
     Store,
     StructureError,
@@ -53,17 +51,6 @@ class HlAutomaton(_IndexedTransitions):
         return max(len(t.labels) for t in self.transitions)
 
 
-@dataclass(frozen=True)
-class HlConfiguration:
-    """A configuration plus the word still to be processed."""
-
-    configuration: Configuration
-    pending: Word
-
-    def is_final(self, a: HlAutomaton) -> bool:
-        return self.configuration.state in a.final and not self.pending
-
-
 # ---------------------------------------------------------------------------
 # Sequence matching
 # ---------------------------------------------------------------------------
@@ -86,49 +73,38 @@ def match_prefix(s: Store, labels: tuple, w: Word) -> Optional[Store]:
 
 
 # ---------------------------------------------------------------------------
-# Configuration-graph semantics
+# Skip semantics
 # ---------------------------------------------------------------------------
-
-def hl_successors(a: HlAutomaton, y: HlConfiguration) -> set:
-    """Successor edges of `y`: pairs (consumed word, next hl-configuration).
-
-    Standard edges consume a matched prefix; the single skip edge (one
-    letter, configuration unchanged) exists iff no standard edge does and
-    the pending word is non-empty.
-    """
-    q, s = y.configuration.state, y.configuration.store
-    pending = y.pending
-    out = set()
-    for t in a.outgoing(q):
-        d = len(t.labels)
-        if d > len(pending):
-            continue
-        prefix = pending[:d]
-        s2 = match_prefix(s, t.labels, prefix)
-        if s2 is not None:
-            out.add((prefix, HlConfiguration(Configuration(t.target, s2), pending[d:])))
-    if not out and pending:
-        out.add((pending[:1], HlConfiguration(y.configuration, pending[1:])))
-    return out
-
 
 def hl_accepts(a: HlAutomaton, w: Iterable[Letter]) -> bool:
     """True iff some path of standard/skip moves consumes `w` entirely and
     ends in a final state.  The empty word is accepted iff the initial
-    state is final."""
+    state is final.
+
+    One walk over the positions of `w`: `at[p]` holds the (state, store)
+    pairs that have read exactly p letters.  A pair at p takes every
+    transition whose label matches the letters from p on and adds its
+    target and new store at p + d; a pair that takes none skips one
+    letter to p + 1, unchanged.  Each set is dropped once walked, so time
+    and memory are linear in the length of `w` times the number of pairs
+    alive at one position.
+    """
     w = tuple(w)
     for letter in w:
         if len(letter) != a.arity:
             raise StructureError(f"letter has arity {len(letter)}, automaton expects {a.arity}")
-    start = HlConfiguration(Configuration(a.initial, a.store), w)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        y = queue.popleft()
-        if y.is_final(a):
-            return True
-        for _, y2 in hl_successors(a, y):
-            if y2 not in seen:
-                seen.add(y2)
-                queue.append(y2)
-    return False
+    n = len(w)
+    at = {0: {(a.initial, a.store)}}
+    for p in range(n):
+        for q, s in at.pop(p, ()):
+            moved = False
+            for t in a.outgoing(q):
+                end = p + len(t.labels)
+                if end <= n:
+                    s2 = match_prefix(s, t.labels, w[p:end])
+                    if s2 is not None:
+                        at.setdefault(end, set()).add((t.target, s2))
+                        moved = True
+            if not moved:
+                at.setdefault(p + 1, set()).add((q, s))
+    return any(q in a.final for q, _ in at[n])

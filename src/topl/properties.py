@@ -417,12 +417,6 @@ class EventSchema:
     def width(self) -> int:
         return self.arity + 2
 
-    def register_of(self, var: str) -> int:
-        for name, reg in self.variables:
-            if name == var:
-                return reg
-        raise KeyError(var)
-
 
 def _label_arity(label: PropLabel) -> int:
     if isinstance(label, (AnyEvent, Ret)):

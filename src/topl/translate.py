@@ -996,7 +996,8 @@ def emptiness(a):
     un-flattened back to the source arity and verified by replay.
 
     Every structural check runs first.  Then an automaton whose initial
-    state is final is answered with the empty word, and a high-level
+    state is final is answered with the empty word, which both flavours
+    accept by definition, so it is not replayed; and a high-level
     automaton whose initial state cannot reach a final state in the
     transition graph is answered "empty" (a skip keeps the state, so no
     run can accept), both before any translation.  Otherwise the answer
@@ -1015,15 +1016,14 @@ def emptiness(a):
         raise StructureError(f"unsupported automaton type {type(a).__name__}")
     _require_translatable(a)
     if a.initial in a.final:
-        word = ()
-    elif isinstance(a, HlAutomaton) and a.initial not in coreachable(a):
+        return ()
+    if isinstance(a, HlAutomaton) and a.initial not in coreachable(a):
         return None
-    else:
-        low = hl_to_topl(_split(a)) if isinstance(a, HlAutomaton) else a
-        flat = ra_emptiness(topl_to_ra(low))
-        if flat is None:
-            return None
-        word = unflatten(flat, a.arity)
+    low = hl_to_topl(_split(a)) if isinstance(a, HlAutomaton) else a
+    flat = ra_emptiness(topl_to_ra(low))
+    if flat is None:
+        return None
+    word = unflatten(flat, a.arity)
     if not replays(a, word):
         raise StructureError("internal: witness does not replay on the source automaton")
     return word

@@ -34,7 +34,7 @@ from topl.core import (
     eval_guard,
 )
 from topl.hl import HlAutomaton, HlTransition, match_prefix
-from topl.monitor import MonitorOptions, Verdict
+from topl.monitor import Event, MonitorOptions, Verdict
 
 
 def atoms(*names):
@@ -251,6 +251,45 @@ def language(a: ToplAutomaton, universe, max_len) -> frozenset:
 
     explore((), frozenset({(a.initial, a.store)}))
     return frozenset(accepted)
+
+
+# ---------------------------------------------------------------------------
+# The Taint property and seeded traces for it
+# ---------------------------------------------------------------------------
+
+TAINT = """\
+property Taint
+  prefix <javax.servlet.http.HttpServletRequest>
+  prefix <java.lang.String>
+  prefix <java.sql.Statement>
+  start -> start:       *
+  start -> tracking:    X := *.getParameter[*]
+  tracking -> tracking: *
+  tracking -> tracking: X := x.concat(*)
+  tracking -> tracking: X := *.concat(x)
+  tracking -> error:    *.executeQuery(x)
+"""
+
+_GET_PARAMETER = "javax.servlet.http.HttpServletRequest.getParameter"
+_EXECUTE_QUERY = "java.sql.Statement.executeQuery"
+
+
+def taint_events(seed: int, pairs: int, violation: bool = False) -> list:
+    """`pairs` call/return pairs for `TAINT`: a getParameter that taints
+    `t`, then seeded noise calls, concats and queries of untainted
+    values.  With `violation`, a query of `t` is the last event."""
+    rng = random.Random(seed)
+    events = [Event("call", _GET_PARAMETER, (Atom("req"), Atom("p"))),
+              Event("ret", _GET_PARAMETER, (Atom("t"),))]
+    for i in range(1, pairs):
+        method, receiver = rng.choice((("com.example.Worker.run", f"o{i}"),
+                                       ("java.lang.String.concat", f"v{i}"),
+                                       (_EXECUTE_QUERY, "stmt")))
+        events += [Event("call", method, (Atom(receiver), Atom(f"u{i}"))),
+                   Event("ret", method, (Atom(f"r{i}"),))]
+    if violation:
+        events.append(Event("call", _EXECUTE_QUERY, (Atom("stmt"), Atom("t"))))
+    return events
 
 
 # ---------------------------------------------------------------------------

@@ -10,28 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceMonitor, automaton_text, mutated_text, three_letter_automaton
+from helpers import (
+    TAINT,
+    ReferenceMonitor,
+    ab_example,
+    automaton_text,
+    mutated_text,
+    taint_events,
+    three_letter_automaton,
+)
 from topl import cli, serialize
 from topl.cli import main
 from topl.core import coreachable
 from topl.hl import HlAutomaton
 from topl.monitor import TraceError, encode_event, parse_trace_line
 from topl.properties import compile_property, parse_property
-from topl.serialize import automaton_from_json, automaton_to_json, bundle_from_json, bundle_to_json, dumps
+from topl.serialize import (
+    automaton_from_json,
+    automaton_to_json,
+    bundle_from_json,
+    bundle_to_json,
+    dumps,
+    word_to_json,
+)
 from topl.translate import topl_to_hl
-
-TAINT = """\
-property Taint
-  prefix <javax.servlet.http.HttpServletRequest>
-  prefix <java.lang.String>
-  prefix <java.sql.Statement>
-  start -> start:       *
-  start -> tracking:    X := *.getParameter[*]
-  tracking -> tracking: *
-  tracking -> tracking: X := x.concat(*)
-  tracking -> tracking: X := *.concat(x)
-  tracking -> error:    *.executeQuery(x)
-"""
 
 TAINT_TRACE = "\n".join(
     [
@@ -169,6 +171,33 @@ def test_translate_roundtrip_topl_hl(tmp_path):
     low = tmp_path / "low.json"
     assert main(["translate", str(hl), "--to", "topl", "-o", str(low)]) == 0
     assert json.loads(low.read_text())["arity"] == 1
+
+
+@pytest.mark.parametrize("automaton, to, flavour", [
+    (ab_example(), "hl", "high-level"),
+    (three_letter_automaton(), "topl", "low-level"),
+])
+def test_translate_to_the_input_flavour_exits_two(tmp_path, automaton, to, flavour):
+    aut = tmp_path / "aut.json"
+    aut.write_text(dumps(automaton_to_json(automaton)))
+    code, out, err = _run_main(["translate", str(aut), "--to", to])
+    assert (code, out) == (2, "")
+    assert err == f"error: input is already a {flavour} automaton\n"
+
+
+def test_member_json_on_a_compiled_bundle(taint_files, tmp_path):
+    prop, _ = taint_files
+    bundle = tmp_path / "taint.json"
+    assert main(["compile", str(prop), "-o", str(bundle)]) == 0
+    _, schema = bundle_from_json(json.loads(bundle.read_text()))
+    letters = [encode_event(e, schema) for e in taint_events(1, 100, violation=True)]
+    word = tmp_path / "word.json"
+    # the word ending at the violating query is accepted; without it, not
+    for prefix, accepted in ((letters, True), (letters[:-1], False)):
+        word.write_text(json.dumps(word_to_json(prefix)))
+        code, out, err = _run_main(["member", str(bundle), "--word-file", str(word), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"accepted": accepted}
 
 
 def test_usage_errors_exit_one(capsys):

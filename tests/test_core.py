@@ -1,5 +1,7 @@
 """Guard/action semantics, stepping, acceptance, validation."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -52,6 +54,11 @@ class TestValues:
         assert BOTTOM == BOTTOM
         assert BOTTOM != Atom("bottom")
         assert BOTTOM != EventId("call", "m")
+
+    def test_bottom_copies_and_pickles_are_itself(self):
+        assert copy.copy(BOTTOM) is BOTTOM
+        assert copy.deepcopy(BOTTOM) is BOTTOM
+        assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
 
     def test_event_ids(self):
         assert EventId("call", "m") == EventId("call", "m")

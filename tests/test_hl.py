@@ -1,10 +1,12 @@
 """Sequence labels, skip semantics, high-level acceptance."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from helpers import (
+    TAINT,
     UNIVERSE,
     ab_example,
     all_words,
@@ -15,13 +17,13 @@ from helpers import (
     random_hl,
     random_topl,
     single_eq_automaton,
+    taint_events,
 )
 from topl.core import (
     NOP,
     TRUE,
     Assign,
     Atom,
-    Configuration,
     Eq,
     StructureError,
     ToplAutomaton,
@@ -31,12 +33,12 @@ from topl.core import (
 )
 from topl.hl import (
     HlAutomaton,
-    HlConfiguration,
     HlTransition,
     hl_accepts,
-    hl_successors,
     match_prefix,
 )
+from topl.monitor import encode_event
+from topl.properties import compile_property, parse_property
 
 
 def _letters(*names):
@@ -126,64 +128,20 @@ class TestMatchPrefix:
             assert via_chain == (set() if direct is None else {direct})
 
 
-class TestHlSuccessors:
-    def test_standard_transition_blocks_skip(self):
-        ab = ab_example()
-        A, B = atoms("A", "B")
-        y = HlConfiguration(Configuration("1", (A, B)), _letters("B", "A", "B"))
-        got = hl_successors(ab, y)
-        assert got == {
-            (_letters("B", "A", "B"), HlConfiguration(Configuration("2", (A, B)), ())),
-        }
-
-    def test_skip_when_no_transition_starts(self):
-        ab = ab_example()
-        A, B = atoms("A", "B")
-        y = HlConfiguration(Configuration("3", (A, B)), _letters("A", "B"))
-        got = hl_successors(ab, y)
-        assert got == {
-            (_letters("A"), HlConfiguration(Configuration("3", (A, B)), _letters("B"))),
-        }
-
-    def test_remark_automaton_skips_mismatches(self):
-        hl = as_hl(single_eq_automaton("v"))
-        u, v = atoms("u", "v")
-        y = HlConfiguration(Configuration("i", (v,)), ((u,), (v,)))
-        got = hl_successors(hl, y)
-        assert got == {(((u,),), HlConfiguration(Configuration("i", (v,)), ((v,),)))}
-
-    def test_empty_pending_has_no_successors(self):
-        ab = ab_example()
-        y = HlConfiguration(Configuration("3", ab.store), ())
-        assert hl_successors(ab, y) == set()
-
-    def test_skip_exclusivity_and_strict_suffix(self):
-        for seed in range(80):
-            a = random_hl(seed)
-            rng = random.Random(seed * 3 + 1)
-            pending = tuple(tuple(rng.choice(UNIVERSE) for _ in range(a.arity)) for _ in range(rng.randint(0, 4)))
-            state = rng.choice(sorted(a.states))
-            store = tuple(rng.choice(UNIVERSE) for _ in range(a.registers))
-            y = HlConfiguration(Configuration(state, store), pending)
-            succ = hl_successors(a, y)
-            skips = {e for e in succ if e[1].configuration == y.configuration and len(e[0]) == 1
-                     and e[1].pending == pending[1:]}
-            # a skip edge exists iff there is no standard edge, never both
-            standards = succ - skips
-            if standards:
-                assert not (skips and not standards)
-            for consumed, y2 in succ:
-                assert consumed + y2.pending == pending
-                assert len(y2.pending) < len(pending) or not pending
-
-
 class TestHlAccepts:
     def test_ab_golden_words(self):
         ab = ab_example()
+        # B A B matches the long label, and that standard move blocks the
+        # skip of the first B that would lead on to the final state 3
         assert not hl_accepts(ab, _letters("B", "A", "B"))
         assert not hl_accepts(ab, _letters("B", "B", "A", "B"))
         assert hl_accepts(ab, _letters("A"))
+        # state 3 has no transition, so the letters after the A are skipped
         assert hl_accepts(ab, _letters("A", "A", "B"))
+        # B A A fails the long label at its last step: the B is skipped
+        assert hl_accepts(ab, _letters("B", "A", "A"))
+        # a label longer than the rest of the word never matches it
+        assert not hl_accepts(ab, _letters("B", "B"))
 
     def test_remark_automaton_contains_letter(self):
         low = single_eq_automaton("v")
@@ -216,6 +174,23 @@ class TestHlAccepts:
             hl = as_hl(total)
             for w in all_words(UNIVERSE, 1, 3):
                 assert hl_accepts(hl, w) == accepts(total, w), (seed, w)
+
+    def test_memory_is_linear_in_the_word(self):
+        # For a fixed automaton, memory may grow at most linearly in the
+        # word length; the slack covers the interpreter's own noise.
+        aut, schema = compile_property(parse_property(TAINT))
+
+        def peak(pairs):
+            word = tuple(encode_event(e, schema) for e in taint_events(1, pairs))
+            tracemalloc.start()
+            try:
+                assert not hl_accepts(aut, word)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(250), peak(500)
+        assert large <= 2 * small + 64 * 1024, (small, large)
 
     def test_agrees_with_interleaving_enumeration(self):
         for seed in range(80):

@@ -226,7 +226,8 @@ class TestCompile:
         assert not any(isinstance(v, EventId) for v in aut.store)
         # variables first, starting out as the dummy value; then one
         # register per distinct literal, holding it
-        assert [schema.register_of(v) for v in ("f", "g")] == [1, 2]
+        variables = dict(schema.variables)
+        assert [variables[v] for v in ("f", "g")] == [1, 2]
         assert aut.store == (BOTTOM, BOTTOM, Atom("config"), Atom("log"))
         literal_regs = {
             atom.reg

@@ -1,6 +1,8 @@
 """Translations between automaton flavours, emptiness, closures."""
 
 import hashlib
+import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from topl.core import (
     Assign,
     Atom,
     Eq,
+    EventId,
     MethodMatch,
     Neq,
     StructureError,
@@ -39,7 +42,7 @@ from topl.core import (
     coreachable,
     validate_automaton,
 )
-from topl import core, translate
+from topl import core, hl, translate
 from topl.cli import main
 from topl.hl import HlAutomaton, HlTransition, hl_accepts
 from topl.serialize import automaton_from_json, automaton_to_json, dumps
@@ -217,6 +220,34 @@ class TestToplToHl:
             src = language(a, UNIVERSE, 3)
             for w in all_words(UNIVERSE, a.arity, 3):
                 assert hl_accepts(h, w) == (w in src), (seed, w)
+
+    def test_method_guards_survive(self, tmp_path):
+        # A glob, a negated pattern and an eq guard: the sink's guards
+        # negate and sort the method atoms too.
+        concat = MethodMatch(1, "call", ("*.concat",))
+        low = ToplAutomaton(
+            arity=2, registers=1, states=frozenset({"s", "t", "f"}), initial="s", store=(Atom("a"),),
+            transitions=(
+                Transition("s", And(concat, Eq(1, 2)), NOP, "t"),
+                Transition("s", MethodMatch(1, "call", ("*.concat",), negated=True), NOP, "s"),
+                Transition("t", MethodMatch(1, "ret", ("java.*",)), (Assign(1, 2),), "f"),
+                Transition("f", Neq(1, 2), NOP, "f"),
+            ),
+            final=frozenset({"f"}),
+        )
+        h = topl_to_hl(low)
+        letters = [(EventId(kind, method), v)
+                   for kind, method in (("call", "java.lang.String.concat"), ("ret", "java.lang.String.concat"),
+                                        ("call", "com.example.Worker.run"))
+                   for v in (Atom("a"), Atom("b"), BOTTOM)]
+        words = [()] + [tuple(w) for k in (1, 2, 3) for w in itertools.product(letters, repeat=k)]
+        assert any(accepts(low, w) for w in words)
+        for w in words:
+            assert hl_accepts(h, w) == accepts(low, w), w
+        src, out = tmp_path / "low.json", tmp_path / "hl.json"
+        src.write_text(dumps(automaton_to_json(low)))
+        assert main(["translate", str(src), "--to", "hl", "-o", str(out)]) == 0
+        assert automaton_from_json(json.loads(out.read_text())) == h
 
 
 class TestHlToTopl:
@@ -495,8 +526,18 @@ class TestEmptiness:
                 return real(x)
 
             monkeypatch.setattr(translate, name, counted)
+        # The witness replay matches labels and evaluates guards through
+        # `hl`'s own names, which the tracer counts.
+        for name in ("match_prefix", "eval_guard"):
+            def counted(*args, name=name, real=getattr(hl, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(hl, name, counted)
         assert emptiness(a) is not None
-        assert calls == {"hl_to_topl": 1, "topl_to_ra": 1, "ra_emptiness": 1}
+        assert {name: calls[name] for name in ("hl_to_topl", "topl_to_ra", "ra_emptiness")} == {
+            "hl_to_topl": 1, "topl_to_ra": 1, "ra_emptiness": 1}
+        assert calls["match_prefix"] > 0 and calls["eval_guard"] > 0
 
     def test_shortest_witnesses_on_random_hl(self):
         # One register keeps the uncut stages quick: at two registers and
